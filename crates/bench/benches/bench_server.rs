@@ -9,20 +9,22 @@
 //!   of saturation throughput; the printed summary shows requests/s);
 //! * `mixed/latency/p50|p99/warm_generate` and
 //!   `mixed/saturation/ns_per_request` — the same two measurements while
-//!   background clients stream always-fresh (cold) queries that run full
+//!   background clients stream never-seen (cold) node sets that run full
 //!   expand-verify sessions, so the numbers show how well short warm hits
 //!   interleave with long sessions through the admission scheduler. Only
-//!   warm requests are timed/counted; the cold stream is load, not signal.
+//!   warm requests are timed/counted; the cold stream is load, not signal,
+//!   and the sessions it ran are read off the engine's `sessions_run`.
 //!
 //! `RCW_BENCH_QUICK=1` shrinks the sample counts for the nightly mixed-load
 //! smoke leg (bounded wall-clock, same code paths).
 
 use rcw_bench::timing::{format_duration, BenchGroup};
 use rcw_core::{RcwConfig, WitnessEngine};
-use rcw_datasets::{citeseer, Dataset, Scale};
+use rcw_datasets::{citeseer, Scale};
+use rcw_linalg::rng::{Rng, SliceRandom};
 use rcw_server::client::Client;
 use rcw_server::{RcwServer, ServerConfig};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,18 +103,39 @@ fn warm_saturation(addr: &str, queries: &[Vec<usize>], per_client: usize) -> (u6
     )
 }
 
-/// Cold-traffic loop: every request queries an always-fresh node set (a new
-/// seed per request), so each one misses the store and runs a full
-/// expand-verify session. Returns how many it served before `stop`.
-fn cold_stream(addr: &str, ds: &Dataset, seed: &AtomicU64, stop: &AtomicBool) -> usize {
-    let mut client = Client::connect(addr).expect("connect cold");
-    let mut served = 0usize;
-    while !stop.load(Ordering::Relaxed) {
-        let nodes = ds.pick_test_nodes(2, seed.fetch_add(1, Ordering::Relaxed));
-        client.generate(&nodes).expect("cold generate");
-        served += 1;
+/// Never-seen cold queries: every canonical (sorted) pair of distinct
+/// test-pool nodes outside the warm working set, then every such triple,
+/// each group in a seeded order. Each one is a store miss the first time it
+/// is queried; the triples only keep the stream cold once the pairs run out.
+fn cold_sets(pool: &[usize], warm: &[Vec<usize>], seed: u64) -> Vec<Vec<usize>> {
+    let mut nodes = pool.to_vec();
+    nodes.sort_unstable();
+    let (mut pairs, mut triples) = (Vec::new(), Vec::new());
+    for (i, &a) in nodes.iter().enumerate() {
+        for (j, &b) in nodes.iter().enumerate().skip(i + 1) {
+            pairs.push(vec![a, b]);
+            triples.extend(nodes[j + 1..].iter().map(|&c| vec![a, b, c]));
+        }
     }
-    served
+    pairs.retain(|pair| !warm.contains(pair));
+    let mut rng = Rng::seed_from_u64(seed);
+    pairs.shuffle(&mut rng);
+    triples.shuffle(&mut rng);
+    pairs.extend(triples);
+    pairs
+}
+
+/// Cold-traffic loop: the clients share one cursor over `sets`, so every
+/// request queries a node set no earlier request used and runs a full
+/// expand-verify session. Stops at `stop` or when the sets run out.
+fn cold_stream(addr: &str, sets: &[Vec<usize>], next: &AtomicUsize, stop: &AtomicBool) {
+    let mut client = Client::connect(addr).expect("connect cold");
+    while !stop.load(Ordering::Relaxed) {
+        let Some(nodes) = sets.get(next.fetch_add(1, Ordering::Relaxed)) else {
+            break;
+        };
+        client.generate(nodes).expect("cold generate");
+    }
 }
 
 fn main() {
@@ -143,6 +166,7 @@ fn main() {
     let queries: Vec<Vec<usize>> = (0..8)
         .map(|i| ds.pick_test_nodes(2, 31 + i as u64))
         .collect();
+    let cold = cold_sets(&ds.test_pool, &queries, 10_000);
 
     let server = RcwServer::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
@@ -163,31 +187,28 @@ fn main() {
         let (p50, p99) = warm_latency(&mut warmup, &queries, latency_samples);
         let (sat_ns, rps) = warm_saturation(&addr, &queries, requests_per_client);
 
-        // Mixed load: cold clients stream always-fresh queries (full
-        // sessions) for the whole window while the same two warm
-        // measurements repeat. No disturbances here — cold traffic must not
-        // stale the warm working set, or the warm numbers would measure
-        // repair instead of interleaving.
+        // Mixed load: cold clients stream never-seen node sets (full sessions)
+        // for the whole window while the same two warm measurements repeat.
+        // No disturbances here — cold traffic must not stale the warm
+        // working set, or the warm numbers would measure repair instead of
+        // interleaving. Warm requests are all store hits, so the engine's
+        // session delta counts exactly the cold sessions.
         let stop = AtomicBool::new(false);
-        let cold_seed = AtomicU64::new(10_000);
-        let (m_p50, m_p99, m_sat_ns, m_rps, cold_served) = std::thread::scope(|mixed| {
-            let cold_threads: Vec<_> = (0..COLD_CLIENTS)
-                .map(|_| {
-                    let (addr, ds, seed, stop) = (&addr, &ds, &cold_seed, &stop);
-                    mixed.spawn(move || cold_stream(addr, ds, seed, stop))
-                })
-                .collect();
+        let next_cold = AtomicUsize::new(0);
+        let sessions_before = engine.snapshot().stats.sessions_run;
+        let (m_p50, m_p99, m_sat_ns, m_rps) = std::thread::scope(|mixed| {
+            for _ in 0..COLD_CLIENTS {
+                let (addr, cold, next, stop) = (&addr, &cold, &next_cold, &stop);
+                mixed.spawn(move || cold_stream(addr, cold, next, stop));
+            }
 
             let (m_p50, m_p99) = warm_latency(&mut warmup, &queries, latency_samples);
             let (m_sat_ns, m_rps) = warm_saturation(&addr, &queries, requests_per_client);
 
             stop.store(true, Ordering::Relaxed);
-            let cold_served: usize = cold_threads
-                .into_iter()
-                .map(|t| t.join().expect("cold client"))
-                .sum();
-            (m_p50, m_p99, m_sat_ns, m_rps, cold_served)
+            (m_p50, m_p99, m_sat_ns, m_rps)
         });
+        let cold_served = engine.snapshot().stats.sessions_run - sessions_before;
 
         warmup.shutdown().expect("shutdown");
         let report = server_thread.join().expect("server thread");
@@ -237,8 +258,10 @@ fn main() {
     );
     println!(
         "mixed saturation: {m_rps:.0} req/s warm over {SATURATION_CLIENTS} clients \
-         ({} per request) with {COLD_CLIENTS} cold clients serving {cold_served} sessions",
+         ({} per request) with {COLD_CLIENTS} cold clients serving {cold_served} sessions \
+         (of {} never-seen node sets)",
         format_duration(m_sat),
+        cold.len(),
     );
     println!("micro-batches formed across the run: {batches_formed}\n");
 

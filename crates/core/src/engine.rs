@@ -319,26 +319,6 @@ pub struct EngineStats {
     pub budget_aborts: usize,
 }
 
-impl EngineStats {
-    /// Field-wise accumulation, used by the sharded tier to aggregate the
-    /// per-shard engines into one fleet-wide view. The conservation law
-    /// `queries == warm_hits + sessions_run + degraded_serves + budget_aborts`
-    /// is preserved: it holds per engine, and every field sums independently.
-    pub fn absorb(&mut self, other: &EngineStats) {
-        self.queries += other.queries;
-        self.warm_hits += other.warm_hits;
-        self.sessions_run += other.sessions_run;
-        self.flips_applied += other.flips_applied;
-        self.repairs_skipped += other.repairs_skipped;
-        self.repairs_reverified += other.repairs_reverified;
-        self.repairs_searched += other.repairs_searched;
-        self.repairs_regenerated += other.repairs_regenerated;
-        self.repairs_degraded += other.repairs_degraded;
-        self.degraded_serves += other.degraded_serves;
-        self.budget_aborts += other.budget_aborts;
-    }
-}
-
 /// How one stored witness fared in a [`WitnessEngine::disturb`] sweep.
 /// Entries the disturbance could not reach are not reported per-entry (they
 /// appear only in the summary's `untouched` count): a subscription layer owes

@@ -56,18 +56,6 @@ pub trait VerifiableModel: GnnModel {
     /// over `M: VerifiableModel + ?Sized` cannot unsize-coerce on its own.
     fn as_gnn(&self) -> &dyn GnnModel;
 
-    /// Hop horizon of this model's *verification* reads: verifying one
-    /// disturbance of a witness for test node `t` only inspects nodes within
-    /// this many hops of `t` on the disturbed graph. For the model-agnostic
-    /// sampling verifier that is the receptive field; the APPNP tractable
-    /// path additionally walks `cfg.ppr_iters` PPR/value-iteration steps, so
-    /// it overrides this. The sharded tier uses this bound to decide when a
-    /// query can be answered entirely inside a shard's halo.
-    fn verification_hops(&self, cfg: &RcwConfig) -> usize {
-        let _ = cfg;
-        self.as_gnn().receptive_hops()
-    }
-
     /// `verifyRCW`: verifies `witness` against all of its test nodes under
     /// (k, b)-disturbances. Default: the model-agnostic enumeration/sampling
     /// verifier ([`crate::verify::verify_rcw`]).
@@ -257,13 +245,6 @@ impl VerifiableModel for Gat {
 impl VerifiableModel for Appnp {
     fn as_gnn(&self) -> &dyn GnnModel {
         self
-    }
-
-    /// The PRI search and value-function evaluations run `cfg.ppr_iters`
-    /// propagation steps over the whole graph, so APPNP's verification
-    /// horizon is the larger of its receptive field and that walk length.
-    fn verification_hops(&self, cfg: &RcwConfig) -> usize {
-        self.receptive_hops().max(cfg.ppr_iters)
     }
 
     /// Algorithm 1, `verifyRCW-APPNP`: tractable under (k, b)-disturbances.

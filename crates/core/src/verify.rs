@@ -370,8 +370,8 @@ fn verify_rcw_impl(
         // Sample from the hood-local candidate pool, not the whole graph: a
         // flip far from every test node cannot move a localized margin, so
         // global draws only waste checks — and pool-local draws make the
-        // verdict a function of the query's neighborhood alone, which the
-        // sharded tier relies on for bit-exact shard answers.
+        // verdict a function of the query's neighborhood alone, so appending
+        // unrelated components to the graph never changes it.
         (0..cfg.sampled_disturbances)
             .map(|i| {
                 random_disturbance_from(
@@ -591,6 +591,79 @@ mod tests {
                 .all(|&(u, v)| u == t || v == t || (u < 6 && v < 6)),
             "PPR pruning kept far-community pairs: {bounded:?}"
         );
+    }
+
+    /// The sampled verifier draws from the hood-local candidate pool, so its
+    /// verdict depends on the query's neighborhood alone: appending a
+    /// component no test node can reach changes neither the level nor how
+    /// many disturbances were checked. (A trivial witness covering every
+    /// edge is counterfactual only by the empty-remainder convention, which
+    /// is a whole-graph property, so those are skipped.)
+    #[test]
+    fn sampled_verdict_ignores_a_disjoint_component() {
+        use crate::generate::RoboGExp;
+        use rcw_graph::generators::{ensure_connected, stochastic_block_model};
+        use rcw_linalg::rng::Rng;
+
+        let (mut g, blocks) = stochastic_block_model(&[10, 10], 0.5, 0.05, 3);
+        ensure_connected(&mut g, 3);
+        let mut rng = Rng::seed_from_u64(3);
+        for (v, &b) in blocks.iter().enumerate() {
+            // Weakly informative features, so labels lean on the edges.
+            g.set_features(v, vec![0.4 + 0.2 * b as f64, rng.gen_f64()]);
+            g.set_label(v, b);
+        }
+        let mut gcn = Gcn::new(&[2, 8, 2], 5);
+        let train: Vec<usize> = (0..20).step_by(2).collect();
+        gcn.train(
+            &GraphView::full(&g),
+            &train,
+            &TrainConfig {
+                epochs: 150,
+                learning_rate: 0.05,
+                ..TrainConfig::default()
+            },
+        );
+
+        // The padded graph is `g` plus a disjoint copy of itself.
+        let n = g.num_nodes();
+        let mut padded = g.clone();
+        for (v, &b) in blocks.iter().enumerate() {
+            padded.add_labeled_node(g.features(v).to_vec(), b);
+        }
+        for (u, v) in g.edges() {
+            padded.add_edge(n + u, n + v);
+        }
+
+        let cfg = RcwConfig {
+            k: 2,
+            local_budget: 1,
+            exhaustive_limit: 4,
+            sampled_disturbances: 12,
+            ..RcwConfig::default()
+        };
+        let generator = RoboGExp::new(&gcn, cfg.clone());
+        let mut sampled = 0;
+        for t in 0..n {
+            let result = generator.generate(&g, &[t]);
+            if !result.nontrivial {
+                continue;
+            }
+            let witness = result.witness;
+            let alone = verify_rcw(&gcn, &g, &witness, &cfg);
+            let beside = verify_rcw(&gcn, &padded, &witness, &cfg);
+            assert_eq!(alone.level, beside.level, "node {t}");
+            assert_eq!(
+                alone.disturbances_checked, beside.disturbances_checked,
+                "node {t}"
+            );
+            assert_eq!(alone.counterexample, beside.counterexample, "node {t}");
+            let pool = candidate_pairs(&g, witness.edges(), &[t], &cfg);
+            if pool.len() > cfg.exhaustive_limit && alone.disturbances_checked > 0 {
+                sampled += 1;
+            }
+        }
+        assert!(sampled > 0, "no query reached the sampled path");
     }
 
     #[test]

@@ -207,8 +207,8 @@ pub fn random_disturbance(
 /// removal-only pool simply contains no non-edges). Deterministic for a given
 /// seed, and — unlike [`random_disturbance`] — a function of the pool alone:
 /// two graphs that agree on the pool's neighborhood draw identical
-/// disturbances, which is what lets a shard engine reproduce the full-graph
-/// verifier bit-exactly.
+/// disturbances, which is what keeps the sampled verifier's verdict local to
+/// the query.
 pub fn random_disturbance_from(
     candidates: &[Edge],
     protected: &EdgeSet,
@@ -352,6 +352,27 @@ mod tests {
         let a = random_disturbance(&g, &EdgeSet::new(), 3, 0, DisturbanceStrategy::Mixed, 42);
         let b = random_disturbance(&g, &EdgeSet::new(), 3, 0, DisturbanceStrategy::Mixed, 42);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn pool_draws_respect_k_b_protection_and_seed() {
+        let candidates: Vec<Edge> = (0..8)
+            .flat_map(|u| ((u + 1)..8).map(move |v| (u, v)))
+            .collect();
+        let protected = EdgeSet::from_iter([(0, 1), (2, 5), (3, 4), (8, 9)]);
+        for seed in 0..32 {
+            for (k, b) in [(1, 1), (3, 1), (4, 2), (6, 2)] {
+                let d = random_disturbance_from(&candidates, &protected, k, b, seed);
+                assert!(!d.is_empty() && d.len() <= k, "seed {seed}: {d:?}");
+                assert!(d
+                    .pairs()
+                    .iter()
+                    .all(|e| candidates.contains(&e) && !protected.contains(e.0, e.1)));
+                assert!(d.respects_local_budget(b), "seed {seed}: {d:?}");
+                let again = random_disturbance_from(&candidates, &protected, k, b, seed);
+                assert_eq!(d, again, "seed {seed}: draws must be deterministic");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub mod edge;
 pub mod ged;
 pub mod generators;
 pub mod graph;
-pub mod halo;
 pub mod io;
 pub mod localize;
 pub mod partition;
@@ -32,7 +31,6 @@ pub use disturbance::{disturbance_footprint, Disturbance, DisturbanceStrategy};
 pub use edge::{norm_edge, Edge, EdgeSet};
 pub use ged::{edge_jaccard, ged, normalized_ged};
 pub use graph::{Graph, NodeId};
-pub use halo::{cut_edges, extract_halo_shard, extract_halo_shards, HaloShard};
 pub use localize::{BallScratch, BallVariant, ForwardCtx, Locality};
 pub use partition::{edge_cut_partition, Fragment, Partition};
 pub use shrink::{describe_graph, shrink_graph};

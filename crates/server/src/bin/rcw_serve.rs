@@ -8,7 +8,7 @@
 //! rcw_serve [--addr 127.0.0.1:0] [--workers 4] [--queue 256]
 //!           [--deadline-ms N] [--io-timeout-ms N]
 //!           [--scale tiny|small|full] [--seed 7] [--k 2]
-//!           [--model SPEC]... [--shards N]
+//!           [--model SPEC]...
 //!           [--faults SPEC] [--fault-seed N]
 //! ```
 //!
@@ -33,17 +33,14 @@
 //! defaults to `RCW_FAULT_PLAN`/`RCW_FAULT_SEED` from the environment) across
 //! the serving tier *and* every engine's repair path.
 //!
-//! `--shards N` (N ≥ 2) serves every engine through the sharded tier: the
-//! graph is cut into N halo shards with one witness engine each plus a
-//! full-graph escape engine ([`rcw_shard::ShardedEngine`]); queries route by
-//! node ownership and `/stats` grows a per-engine `sharding` ledger
-//! (`queries == routed + halo_escapes`).
+//! Each route is one [`WitnessEngine`] over the full graph; paraRoboGExp's
+//! fragmenting runs inside it when a spec asks for more than one session
+//! worker.
 
 use rcw_core::{RcwConfig, VerifiableModel, WitnessEngine};
 use rcw_datasets::{citeseer, Scale};
 use rcw_server::faults::FaultPlan;
 use rcw_server::{RcwServer, ServedEngine, ServerConfig};
-use rcw_shard::{RoutePolicy, ShardedEngine};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,7 +64,6 @@ struct Options {
     specs: Vec<EngineSpec>,
     seed: u64,
     k: usize,
-    shards: usize,
     fault_spec: Option<String>,
     fault_seed: u64,
 }
@@ -133,7 +129,6 @@ fn parse_args() -> Result<Options, String> {
         specs: Vec::new(),
         seed: 7,
         k: 2,
-        shards: 1,
         fault_spec: None,
         fault_seed: 0,
     };
@@ -186,19 +181,12 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "invalid --k".to_string())?
             }
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "invalid --shards (need an integer >= 1)".to_string())?
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: rcw_serve [--addr A] [--workers N] [--queue N] [--deadline-ms N] \
                             [--io-timeout-ms N] [--scale tiny|small|full] [--seed S] [--k K] \
                             [--model appnp|gcn | --model name=model:scale[:workers]]... \
-                            [--shards N] [--faults SPEC] [--fault-seed N]"
+                            [--faults SPEC] [--fault-seed N]"
                         .to_string(),
                 )
             }
@@ -242,27 +230,6 @@ fn leak_single<M: VerifiableModel>(
     Box::leak(Box::new(engine))
 }
 
-/// Builds a sharded route: the graph is cut into `shards` halo shards whose
-/// ring depth is the route policy's safety ball radius, so in-halo queries
-/// actually route (a shallower ring would send everything to the escape
-/// engine).
-fn leak_sharded<M: VerifiableModel>(
-    graph: Arc<rcw_graph::Graph>,
-    model: &'static M,
-    cfg: RcwConfig,
-    shards: usize,
-    session_workers: usize,
-    hook: Option<rcw_core::EngineFaultHook>,
-) -> &'static dyn ServedEngine {
-    let halo = RoutePolicy::for_model(model, &cfg).ball_radius;
-    let mut engine =
-        ShardedEngine::new(graph, model, cfg, shards, halo).with_workers(session_workers);
-    if let Some(hook) = hook {
-        engine = engine.with_fault_hook(hook);
-    }
-    Box::leak(Box::new(engine))
-}
-
 /// Builds one engine from its spec. Models and engines live for the rest of
 /// the process: leak them to get the `'static` borrows serving wants.
 fn build_engine(
@@ -272,14 +239,13 @@ fn build_engine(
 ) -> Result<&'static dyn ServedEngine, String> {
     let ds = citeseer::build(spec.scale, opts.seed);
     eprintln!(
-        "rcw-serve: route '{}': dataset {} (|V|={}, |E|={}), training {} (session workers {}, shards {})...",
+        "rcw-serve: route '{}': dataset {} (|V|={}, |E|={}), training {} (session workers {})...",
         spec.name,
         ds.name,
         ds.graph.num_nodes(),
         ds.graph.num_edges(),
         spec.model,
         spec.session_workers,
-        opts.shards,
     );
     let graph = Arc::new(ds.graph.clone());
     let cfg = serve_config(opts.k);
@@ -289,19 +255,11 @@ fn build_engine(
     let engine: &'static dyn ServedEngine = match spec.model.as_str() {
         "appnp" => {
             let appnp = Box::leak(Box::new(ds.train_appnp(16, opts.seed)));
-            if opts.shards > 1 {
-                leak_sharded(graph, appnp, cfg, opts.shards, spec.session_workers, hook)
-            } else {
-                leak_single(graph, appnp, cfg, spec.session_workers, hook)
-            }
+            leak_single(graph, appnp, cfg, spec.session_workers, hook)
         }
         "gcn" => {
             let gcn = Box::leak(Box::new(ds.train_gcn(16, opts.seed)));
-            if opts.shards > 1 {
-                leak_sharded(graph, gcn, cfg, opts.shards, spec.session_workers, hook)
-            } else {
-                leak_single(graph, gcn, cfg, spec.session_workers, hook)
-            }
+            leak_single(graph, gcn, cfg, spec.session_workers, hook)
         }
         other => return Err(format!("unknown model '{other}' (use appnp or gcn)")),
     };

@@ -502,9 +502,7 @@ impl Client {
         self.request_idempotent_raw("POST", "/generate", body_text)
     }
 
-    /// `POST /generate/batch` for several test-node sets. (The server still
-    /// answers the pre-v1 `/generate_batch` spelling, with a `Deprecation`
-    /// header; the client speaks the canonical path.)
+    /// `POST /generate/batch` for several test-node sets.
     pub fn generate_batch(
         &mut self,
         queries: &[Vec<usize>],

@@ -325,17 +325,13 @@ pub fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// A response ready to be written: status code, JSON body, and any extra
-/// headers beyond the fixed framing set.
+/// A response ready to be written: status code and JSON body.
 #[derive(Clone, Debug)]
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
     /// Response body (always `application/json` on this wire).
     pub body: String,
-    /// Extra headers appended after the fixed set (`Deprecation`, ...).
-    /// Names and values must already be wire-safe; nothing is escaped.
-    pub headers: Vec<(&'static str, String)>,
 }
 
 /// The v1 error vocabulary: the stable machine-readable `code` and whether
@@ -358,11 +354,7 @@ pub fn error_class(status: u16) -> (&'static str, bool) {
 impl Response {
     /// A `200 OK` JSON response.
     pub fn ok(body: String) -> Self {
-        Response {
-            status: 200,
-            body,
-            headers: Vec::new(),
-        }
+        Response { status: 200, body }
     }
 
     /// An error response carrying the uniform v1 body
@@ -379,14 +371,7 @@ impl Response {
         Response {
             status,
             body: crate::wire::error_to_body(code, detail, retryable),
-            headers: Vec::new(),
         }
-    }
-
-    /// Builder: attach an extra response header.
-    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
-        self.headers.push((name, value.into()));
-        self
     }
 }
 
@@ -436,12 +421,6 @@ pub fn encode_response(response: &Response, close: bool) -> Vec<u8> {
     crate::wire::push_u64(&mut message, body_len as u64);
     message.push_str("\r\nconnection: ");
     message.push_str(if close { "close" } else { "keep-alive" });
-    for (name, value) in &response.headers {
-        message.push_str("\r\n");
-        message.push_str(name);
-        message.push_str(": ");
-        message.push_str(value);
-    }
     message.push_str("\r\n\r\n");
     message.push_str(&response.body);
     if needs_newline {

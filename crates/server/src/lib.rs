@@ -16,7 +16,6 @@
 //! |---|---|---|---|
 //! | `[/NAME]/generate` | POST | `{"v": 1, "nodes": [v, ...]}` | witness + level + stats |
 //! | `[/NAME]/generate/batch` | POST | `{"v": 1, "queries": [[v, ...], ...]}` | `{"v": 1, "results": [...]}` |
-//! | `[/NAME]/generate_batch` | POST | deprecated alias of `/generate/batch` (`Deprecation` header) | |
 //! | `[/NAME]/disturb` | POST | `{"v": 1, "flips": [[u, v], ...]}` | [`rcw_core::DisturbReport`] |
 //! | `[/NAME]/subscribe` | POST | `{"v": 1, "nodes": [v, ...]}` | NDJSON witness-update stream |
 //! | `[/NAME]/stats` | GET | — | engine snapshot(s) + server counters |
@@ -107,7 +106,6 @@ use http::{encode_response, FrameBuf, FrameOutcome, Request, Response};
 pub use rcw_core::{BudgetExceeded, SessionBudget};
 use rcw_core::{DisturbReport, EngineSnapshot, GenerationResult, VerifiableModel, WitnessEngine};
 use rcw_graph::Disturbance;
-use rcw_shard::{ShardStats, ShardedEngine};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -171,9 +169,8 @@ const INJECTED_STALL: Duration = Duration::from_millis(250);
 pub const SUBSCRIBE_BUFFER_CAP: usize = 256 * 1024;
 
 /// Endpoint names, reserved so an engine route can never shadow them.
-const RESERVED_ROUTE_NAMES: [&str; 7] = [
+const RESERVED_ROUTE_NAMES: [&str; 6] = [
     "generate",
-    "generate_batch",
     "disturb",
     "subscribe",
     "stats",
@@ -223,13 +220,6 @@ pub trait ServedEngine: Sync {
 
     /// Number of nodes in the host graph (query validation bound).
     fn num_nodes(&self) -> usize;
-
-    /// The routing ledger, for engines that shard their graph
-    /// ([`rcw_shard::ShardedEngine`]). Single-engine implementations keep
-    /// the default `None`; `/stats` emits a `sharding` object when `Some`.
-    fn sharding(&self) -> Option<ShardStats> {
-        None
-    }
 }
 
 impl<M: VerifiableModel + ?Sized> ServedEngine for WitnessEngine<'_, M> {
@@ -264,49 +254,6 @@ impl<M: VerifiableModel + ?Sized> ServedEngine for WitnessEngine<'_, M> {
 
     fn num_nodes(&self) -> usize {
         self.graph().num_nodes()
-    }
-}
-
-/// The sharded tier serves through the same trait: requests flow through the
-/// event loop, admission batching, deadlines, faults and retries unchanged,
-/// and the engine routes each query to its owning shard (or the full-graph
-/// escape engine) underneath.
-impl<M: VerifiableModel + ?Sized> ServedEngine for ShardedEngine<'_, M> {
-    fn generate_with_budget(
-        &self,
-        test_nodes: &[usize],
-        budget: &SessionBudget,
-    ) -> Result<GenerationResult, BudgetExceeded> {
-        ShardedEngine::generate_with_budget(self, test_nodes, budget)
-    }
-
-    fn generate_batch_with(
-        &self,
-        queries: &[Vec<usize>],
-        budgets: &[SessionBudget],
-        emit: &mut dyn FnMut(usize, Result<GenerationResult, BudgetExceeded>),
-    ) {
-        ShardedEngine::generate_batch_with(self, queries, budgets, emit)
-    }
-
-    fn disturb(&self, disturbances: &[Disturbance]) -> DisturbReport {
-        ShardedEngine::disturb(self, disturbances)
-    }
-
-    fn snapshot(&self) -> EngineSnapshot {
-        ShardedEngine::snapshot(self)
-    }
-
-    fn epoch(&self) -> u64 {
-        ShardedEngine::epoch(self)
-    }
-
-    fn num_nodes(&self) -> usize {
-        ShardedEngine::num_nodes(self)
-    }
-
-    fn sharding(&self) -> Option<ShardStats> {
-        Some(self.shard_stats())
     }
 }
 
@@ -1675,11 +1622,7 @@ enum Endpoint {
     Healthz,
     Stats,
     Generate,
-    /// `deprecated` marks the legacy `/generate_batch` spelling, which
-    /// answers identically plus a `Deprecation` header.
-    GenerateBatch {
-        deprecated: bool,
-    },
+    GenerateBatch,
     Disturb,
     Subscribe,
     Shutdown,
@@ -1721,13 +1664,7 @@ const ENDPOINT_TABLE: &[EndpointSpec] = &[
     EndpointSpec {
         method: "POST",
         path: "generate/batch",
-        endpoint: Endpoint::GenerateBatch { deprecated: false },
-        global_only: false,
-    },
-    EndpointSpec {
-        method: "POST",
-        path: "generate_batch",
-        endpoint: Endpoint::GenerateBatch { deprecated: true },
+        endpoint: Endpoint::GenerateBatch,
         global_only: false,
     },
     EndpointSpec {
@@ -1817,7 +1754,6 @@ fn overload_response(state: &ServeState<'_, '_>) -> Response {
             ("queue_bound", Json::num(state.config.queue_bound as u64)),
         ]))
         .encode(),
-        headers: Vec::new(),
     }
 }
 
@@ -1850,19 +1786,7 @@ fn route(
         ),
         Ok(Endpoint::Stats) => handle_stats(state, engine_idx),
         Ok(Endpoint::Generate) => handle_generate(request, engine, state, budget),
-        Ok(Endpoint::GenerateBatch { deprecated }) => {
-            let response = handle_generate_batch(request, engine, state, budget);
-            if deprecated {
-                // The legacy spelling answers identically, flagged per RFC
-                // 9745 so clients can find the successor mechanically.
-                response.with_header(
-                    "deprecation",
-                    "@0; successor=\"/generate/batch\"".to_string(),
-                )
-            } else {
-                response
-            }
-        }
+        Ok(Endpoint::GenerateBatch) => handle_generate_batch(request, engine, state, budget),
         Ok(Endpoint::Disturb) => handle_disturb(request, engine, engine_idx, state, done),
         // Shutdown is a whole-process action: it only exists unrouted
         // (the table hides it from routed paths).
@@ -2077,17 +2001,7 @@ fn handle_stats(state: &ServeState<'_, '_>, engine_idx: usize) -> Response {
         .config
         .routes
         .iter()
-        .map(|r| {
-            let mut snap = wire::snapshot_to_json(&r.engine.snapshot());
-            // Sharded engines expose their routing ledger alongside the
-            // aggregated engine counters.
-            if let Some(routing) = r.engine.sharding() {
-                if let Json::Obj(fields) = &mut snap {
-                    fields.push(("sharding".to_string(), wire::shard_stats_to_json(&routing)));
-                }
-            }
-            (r.name.clone(), snap)
-        })
+        .map(|r| (r.name.clone(), wire::snapshot_to_json(&r.engine.snapshot())))
         .collect();
     // The selected engine's snapshot is already in the map: cloning the
     // encoded value is cheaper than taking the engine's locks a second time.
@@ -2331,10 +2245,6 @@ mod tests {
         );
         assert_eq!(
             classify(&config, &request("GET", "/generate")),
-            ItemKind::Other
-        );
-        assert_eq!(
-            classify(&config, &request("POST", "/generate_batch")),
             ItemKind::Other
         );
         assert_eq!(

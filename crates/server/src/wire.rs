@@ -15,7 +15,6 @@
 use rcw_core::{DisturbReport, EngineSnapshot, EngineStats, GenerationResult, WitnessLevel};
 use rcw_core::{GenerationStats, RepairOutcome, Witness};
 use rcw_graph::{Disturbance, EdgeSubgraph, NodeId};
-use rcw_shard::ShardStats;
 use std::fmt;
 use std::time::Duration;
 
@@ -1052,48 +1051,6 @@ pub fn snapshot_to_json(s: &EngineSnapshot) -> Json {
         ("hood_misses", Json::num(s.hood_misses as u64)),
         ("workers", Json::num(s.workers as u64)),
     ])
-}
-
-/// Encodes a sharded engine's routing ledger ([`ShardStats`]).
-pub fn shard_stats_to_json(s: &ShardStats) -> Json {
-    Json::obj([
-        ("queries", Json::num(s.queries as u64)),
-        ("routed", Json::num(s.routed as u64)),
-        ("halo_escapes", Json::num(s.halo_escapes as u64)),
-        (
-            "routed_per_shard",
-            Json::Arr(
-                s.routed_per_shard
-                    .iter()
-                    .map(|&c| Json::num(c as u64))
-                    .collect(),
-            ),
-        ),
-        ("disturbs", Json::num(s.disturbs as u64)),
-        (
-            "fanout_applications",
-            Json::num(s.fanout_applications as u64),
-        ),
-    ])
-}
-
-/// Decodes a [`ShardStats`] routing ledger.
-pub fn shard_stats_from_json(value: &Json) -> Result<ShardStats, WireError> {
-    let per_shard = value.field("routed_per_shard")?;
-    let Json::Arr(items) = per_shard else {
-        return Err(WireError::decode("routed_per_shard must be an array"));
-    };
-    Ok(ShardStats {
-        queries: value.field("queries")?.as_usize()?,
-        routed: value.field("routed")?.as_usize()?,
-        halo_escapes: value.field("halo_escapes")?.as_usize()?,
-        routed_per_shard: items
-            .iter()
-            .map(|v| v.as_usize())
-            .collect::<Result<Vec<usize>, WireError>>()?,
-        disturbs: value.field("disturbs")?.as_usize()?,
-        fanout_applications: value.field("fanout_applications")?.as_usize()?,
-    })
 }
 
 /// Decodes an [`EngineSnapshot`].

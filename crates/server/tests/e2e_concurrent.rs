@@ -166,18 +166,8 @@ fn shutdown_closes_other_kept_alive_connections() {
     });
 }
 
-/// Reads one full `connection: close` HTTP response off a raw socket.
-fn raw_request(addr: &str, request: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
-    stream.write_all(request.as_bytes()).expect("write raw");
-    let mut reply = String::new();
-    stream.read_to_string(&mut reply).expect("read raw");
-    reply
-}
-
 #[test]
-fn deprecated_generate_batch_alias_matches_canonical_path() {
+fn retired_generate_batch_alias_gets_typed_not_found() {
     let ds = citeseer::build(Scale::Tiny, 8);
     let appnp = ds.train_appnp(8, 8);
     let engine = WitnessEngine::new(Arc::new(ds.graph.clone()), &appnp, quick_cfg());
@@ -200,55 +190,19 @@ fn deprecated_generate_batch_alias_matches_canonical_path() {
         )]));
         let mut client = Client::connect(&addr).expect("connect");
 
-        // Batch equivalence: the deprecated spelling answers byte-identical
-        // results to the canonical path. Warm the store first — a cold call
-        // carries nonzero session stats (inference calls, elapsed time) that
-        // a warm hit does not, and those ride the response.
-        client
-            .request("POST", "/generate/batch", Some(&body))
-            .expect("warm the store");
-        let (status, canonical) = client
+        // Wire v1 has one spelling per endpoint: the pre-v1 `/generate_batch`
+        // alias is a plain unknown path, answered with the typed 404 body.
+        let (status, _) = client
             .request("POST", "/generate/batch", Some(&body))
             .expect("canonical batch");
         assert_eq!(status, 200);
-        let (status, legacy) = client
+        let (status, reply) = client
             .request("POST", "/generate_batch", Some(&body))
-            .expect("legacy batch");
-        assert_eq!(status, 200);
-        assert_eq!(
-            canonical.encode(),
-            legacy.encode(),
-            "alias and canonical path answer identically"
-        );
-
-        // Only the deprecated spelling carries the Deprecation header.
-        let raw_body = body.encode();
-        let legacy_raw = raw_request(
-            &addr,
-            &format!(
-                "POST /generate_batch HTTP/1.1\r\nconnection: close\r\n\
-                 content-length: {}\r\n\r\n{raw_body}",
-                raw_body.len()
-            ),
-        );
-        assert!(legacy_raw.starts_with("HTTP/1.1 200"), "got: {legacy_raw}");
-        assert!(
-            legacy_raw.contains("deprecation: @0; successor=\"/generate/batch\""),
-            "legacy alias advertises its successor: {legacy_raw}"
-        );
-        let canonical_raw = raw_request(
-            &addr,
-            &format!(
-                "POST /generate/batch HTTP/1.1\r\nconnection: close\r\n\
-                 content-length: {}\r\n\r\n{raw_body}",
-                raw_body.len()
-            ),
-        );
-        assert!(canonical_raw.starts_with("HTTP/1.1 200"));
-        assert!(
-            !canonical_raw.contains("deprecation:"),
-            "canonical path is not deprecated: {canonical_raw}"
-        );
+            .expect("retired alias");
+        assert_eq!(status, 404);
+        let error = wire::error_from_json(&reply).expect("structured 404 body");
+        assert_eq!(error.code, "not_found");
+        assert!(!error.retryable);
 
         // Structured error bodies: machine-readable code + retryable flag.
         let (status, body) = client.request("POST", "/nope", None).expect("404 probe");

@@ -6,7 +6,6 @@
 //!
 //! Covered here:
 //! * single-engine servers over both GCN and APPNP classifiers;
-//! * a 4-shard [`ShardedEngine`] behind the same wire protocol;
 //! * a fault storm (dropped connections, worker panics, forced repair
 //!   failures) under which the ledger still balances exactly and every
 //!   frame that does arrive is well-formed (`degraded` frames are
@@ -25,7 +24,6 @@ use rcw_server::client::{Client, ClientError, SubscriptionStream};
 use rcw_server::faults::FaultPlan;
 use rcw_server::wire::WitnessUpdate;
 use rcw_server::{RcwServer, ServerConfig};
-use rcw_shard::{RoutePolicy, ShardedEngine};
 use std::io::ErrorKind;
 use std::sync::Arc;
 use std::time::Duration;
@@ -238,41 +236,6 @@ fn subscription_updates_are_bit_exact_with_direct_queries_gcn() {
         report.updates_delivered + report.updates_shed,
         report.updates_owed,
         "delivery ledger is exact"
-    );
-}
-
-#[test]
-fn sharded_subscriptions_deliver_bit_exact_updates() {
-    let ds = citeseer::build(Scale::Tiny, 17);
-    let appnp = ds.train_appnp(8, 17);
-    let cfg = quick_cfg();
-    let halo = RoutePolicy::for_model(&appnp, &cfg).ball_radius;
-    let engine = ShardedEngine::new(Arc::new(ds.graph.clone()), &appnp, cfg, 4, halo);
-    let server = RcwServer::bind("127.0.0.1:0").expect("bind");
-    let addr = server.local_addr().to_string();
-    let config = ServerConfig::single(&engine).with_workers(2);
-
-    let edges = ds.graph.edge_vec();
-    let report = std::thread::scope(|scope| {
-        let config_ref = &config;
-        let server_thread = scope.spawn(move || server.serve_config(config_ref).expect("serve"));
-        let collected = exercise_subscriptions(
-            &addr,
-            &ds.pick_test_nodes(2, 3),
-            &ds.pick_test_nodes(2, 29),
-            &edges,
-        );
-        let report = server_thread.join().expect("server thread");
-        assert_eq!(
-            report.updates_delivered, collected,
-            "every delivery was read"
-        );
-        report
-    });
-    assert_eq!(
-        report.updates_delivered + report.updates_shed,
-        report.updates_owed,
-        "sharded delivery ledger is exact"
     );
 }
 
