@@ -11,7 +11,7 @@ fn main() {
     let ds = citeseer::build(Scale::Tiny, 3);
     let appnp = ds.train_appnp(16, 1);
     let view = GraphView::full(&ds.graph);
-    let h = appnp.local_logits(&view);
+    let h = appnp.local_logits(&ds.graph);
     let v = ds.test_pool[0];
     let r: Vec<f64> = (0..ds.graph.num_nodes())
         .map(|u| h.get(u, 1) - h.get(u, 0))

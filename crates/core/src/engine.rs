@@ -7,8 +7,9 @@
 //!
 //! 1. **Engine-lifetime** shared immutable state ([`EngineCaches`] plus the
 //!    `Arc`'d host graph with its cached CSR): the edge-cut partition, k-hop
-//!    candidate neighborhoods, PPR rows, and APPNP local logits, built once
-//!    and reused by every query.
+//!    candidate neighborhoods, and PPR rows, built once and reused by every
+//!    query. (APPNP's local logits live with the model itself, keyed by the
+//!    graph's feature epoch.)
 //! 2. **Per-query** state: localities, candidate pools, and verification
 //!    scratch, owned by [`crate::session`] runs — repeated
 //!    [`WitnessEngine::generate`] calls pay only query-proportional work.
@@ -29,12 +30,11 @@ use crate::model::VerifiableModel;
 use crate::session;
 use crate::session::{BudgetExceeded, SessionBudget};
 use crate::witness::{Witness, WitnessLevel};
-use rcw_gnn::{EpochCache, GnnModel, KernelScratch};
+use rcw_gnn::{GnnModel, KernelScratch};
 use rcw_graph::{
     disturbance_footprint, edge_cut_partition, traversal::k_hop_neighborhood_multi, Disturbance,
     Graph, GraphView, NodeId, Partition,
 };
-use rcw_linalg::Matrix;
 use rcw_pagerank::PprCache;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,7 +79,6 @@ struct PartitionEntry {
 #[derive(Debug)]
 pub struct EngineCaches {
     ppr: PprCache,
-    appnp_logits: EpochCache<Matrix>,
     hoods: Mutex<HoodCache>,
     partition: Mutex<Option<PartitionEntry>>,
 }
@@ -89,7 +88,6 @@ impl EngineCaches {
     pub fn new(cfg: &RcwConfig) -> Self {
         EngineCaches {
             ppr: PprCache::new(crate::verify::PRUNE_ALPHA, cfg.ppr_iters),
-            appnp_logits: EpochCache::new(),
             hoods: Mutex::new(HoodCache::default()),
             partition: Mutex::new(None),
         }
@@ -98,12 +96,6 @@ impl EngineCaches {
     /// The shared PPR-row cache (candidate-pair pruning).
     pub fn ppr(&self) -> &PprCache {
         &self.ppr
-    }
-
-    /// The shared APPNP local-logit cache, keyed by the graph's *feature*
-    /// epoch — edge disturbances never invalidate it.
-    pub fn appnp_logits(&self) -> &EpochCache<Matrix> {
-        &self.appnp_logits
     }
 
     /// The k-hop neighborhood of `test_nodes`, cached across expand–verify
@@ -225,8 +217,8 @@ impl EngineCaches {
                 }
             }
         }
-        // APPNP local logits depend only on features; their feature-epoch key
-        // already ignores edge flips, so there is nothing to invalidate here.
+        // APPNP's local logits live with the model, keyed by the feature
+        // epoch, which edge flips never advance: nothing to invalidate.
     }
 }
 

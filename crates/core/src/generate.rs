@@ -68,8 +68,8 @@ pub struct GenerationResult {
 /// Since the engine/session split this driver is a thin wrapper over
 /// [`crate::session`]: it owns a private [`EngineCaches`] instance, so
 /// repeated `generate` calls on the same (unmutated) graph reuse the
-/// partition-free shared tier — k-hop neighborhoods, PPR pruning rows, APPNP
-/// local logits — while [`crate::WitnessEngine`] adds the witness store,
+/// partition-free shared tier — k-hop neighborhoods and PPR pruning rows —
+/// while [`crate::WitnessEngine`] adds the witness store,
 /// mutation epochs, and repair on top of the same session code.
 pub struct RoboGExp<'a, M: VerifiableModel + ?Sized = dyn GnnModel> {
     model: &'a M,

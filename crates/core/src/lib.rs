@@ -79,7 +79,6 @@ pub use verify::{
 };
 pub use verify_appnp::{
     verify_rcw_appnp, verify_rcw_appnp_ctx, verify_rcw_appnp_node, verify_rcw_appnp_node_ctx,
-    AppnpVerifyCtx,
 };
 pub use witness::{VerifyOutcome, Witness, WitnessLevel};
 

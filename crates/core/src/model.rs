@@ -21,14 +21,13 @@ use crate::config::RcwConfig;
 use crate::engine::EngineCaches;
 use crate::verify::{disturbance_preserves_cw, verify_rcw, verify_rcw_with_caches};
 use crate::verify_appnp::{
-    verify_rcw_appnp, verify_rcw_appnp_ctx, verify_rcw_appnp_node, verify_rcw_appnp_node_ctx,
-    AppnpVerifyCtx,
+    pri_check_node, verify_rcw_appnp, verify_rcw_appnp_ctx, verify_rcw_appnp_node,
+    verify_rcw_appnp_node_ctx,
 };
 use crate::witness::{VerifyOutcome, Witness};
-use rcw_gnn::{Appnp, Gat, Gcn, GnnModel, GraphSage};
-use rcw_graph::{Edge, EdgeSet, Graph, GraphView, NodeId};
+use rcw_gnn::{Appnp, Gat, Gcn, GnnModel, GraphSage, KernelScratch};
+use rcw_graph::{Edge, EdgeSet, Graph, NodeId};
 use rcw_linalg::rng::{Rng, SliceRandom};
-use rcw_pagerank::{pri_search, truncate_to_k, PriConfig};
 
 /// Outcome of a worker's bounded search for a disturbance that disproves
 /// robustness of the current witness inside its candidate pairs.
@@ -83,13 +82,12 @@ pub trait VerifiableModel: GnnModel {
     }
 
     /// [`VerifiableModel::verify_rcw`] over an engine's shared cache tier:
-    /// same verdict, but candidate neighborhoods, PPR pruning rows, and any
-    /// model-side intermediates (APPNP local logits) come from — and are left
-    /// in — `caches`. The default ignores the caches and delegates to
-    /// [`VerifiableModel::verify_rcw`], so a downstream impl that only
-    /// overrides `verify_rcw` keeps its strategy on every driver path; each
-    /// in-repo model overrides this to route the same verdict through the
-    /// hood/PPR caches (APPNP additionally reuses its cached local logits).
+    /// same verdict, but candidate neighborhoods and PPR pruning rows come
+    /// from — and are left in — `caches`. The default ignores the caches and
+    /// delegates to [`VerifiableModel::verify_rcw`], so a downstream impl
+    /// that only overrides `verify_rcw` keeps its strategy on every driver
+    /// path; each in-repo model overrides this to route the same verdict
+    /// through the hood/PPR caches.
     fn verify_rcw_shared(
         &self,
         graph: &Graph,
@@ -119,25 +117,6 @@ pub trait VerifiableModel: GnnModel {
     ) -> VerifyOutcome {
         let _ = caches;
         self.verify_rcw_node(graph, witness, node, cfg)
-    }
-
-    /// [`VerifiableModel::search_disturbance`] over an engine's shared cache
-    /// tier. The default ignores the caches (the sampling search has no
-    /// reusable intermediates); APPNP overrides it to reuse its local logits.
-    #[allow(clippy::too_many_arguments)]
-    fn search_disturbance_shared(
-        &self,
-        graph: &Graph,
-        witness: &Witness,
-        test_nodes: &[NodeId],
-        labels: &[usize],
-        candidates: &[Edge],
-        cfg: &RcwConfig,
-        salt: u64,
-        caches: &EngineCaches,
-    ) -> DisturbanceSearch {
-        let _ = caches;
-        self.search_disturbance(graph, witness, test_nodes, labels, candidates, cfg, salt)
     }
 
     /// Bounded search, restricted to `candidates`, for a disturbance that
@@ -262,8 +241,8 @@ impl VerifiableModel for Appnp {
         verify_rcw_appnp_node(self, graph, witness, node, cfg)
     }
 
-    /// Engine path: the local logits `H = f_theta(X)` come from the shared
-    /// feature-epoch cache instead of an MLP pass per verification call.
+    /// Engine path: candidate neighborhoods and PPR pruning rows come from
+    /// the shared cache tier; `H = f_theta(X)` comes from the model.
     fn verify_rcw_shared(
         &self,
         graph: &Graph,
@@ -271,16 +250,7 @@ impl VerifiableModel for Appnp {
         cfg: &RcwConfig,
         caches: &EngineCaches,
     ) -> VerifyOutcome {
-        verify_rcw_appnp_ctx(
-            self,
-            graph,
-            witness,
-            cfg,
-            &AppnpVerifyCtx {
-                logits: None, // resolved lazily from the cache past the early exits
-                caches: Some(caches),
-            },
-        )
+        verify_rcw_appnp_ctx(self, graph, witness, cfg, Some(caches))
     }
 
     fn verify_rcw_node_shared(
@@ -291,43 +261,13 @@ impl VerifiableModel for Appnp {
         cfg: &RcwConfig,
         caches: &EngineCaches,
     ) -> VerifyOutcome {
-        verify_rcw_appnp_node_ctx(
-            self,
-            graph,
-            witness,
-            node,
-            cfg,
-            &AppnpVerifyCtx {
-                logits: None, // resolved lazily from the cache past the early exits
-                caches: Some(caches),
-            },
-        )
-    }
-
-    /// Engine path of the PRI search: shares the cached local logits.
-    fn search_disturbance_shared(
-        &self,
-        graph: &Graph,
-        witness: &Witness,
-        test_nodes: &[NodeId],
-        labels: &[usize],
-        candidates: &[Edge],
-        cfg: &RcwConfig,
-        _salt: u64,
-        caches: &EngineCaches,
-    ) -> DisturbanceSearch {
-        if candidates.is_empty() || cfg.k == 0 {
-            return DisturbanceSearch::default();
-        }
-        let h = self.local_logits_cached(&GraphView::full(graph), caches.appnp_logits());
-        appnp_pri_search(
-            self, graph, witness, test_nodes, labels, candidates, cfg, &h,
-        )
+        verify_rcw_appnp_node_ctx(self, graph, witness, node, cfg, Some(caches))
     }
 
     /// Greedy policy-iteration search (Procedure PRI) for the single worst
-    /// admissible disturbance per competitor class. The empty-search guard
-    /// runs before the MLP pass so a no-op search costs nothing.
+    /// admissible disturbance per competitor class, over the model's cached
+    /// `H`. The empty-search guard runs first so a no-op search costs
+    /// nothing.
     fn search_disturbance(
         &self,
         graph: &Graph,
@@ -338,74 +278,30 @@ impl VerifiableModel for Appnp {
         cfg: &RcwConfig,
         _salt: u64,
     ) -> DisturbanceSearch {
+        let mut report = DisturbanceSearch::default();
         if candidates.is_empty() || cfg.k == 0 {
-            return DisturbanceSearch::default();
+            return report;
         }
-        let h = self.local_logits(&GraphView::full(graph));
-        appnp_pri_search(
-            self, graph, witness, test_nodes, labels, candidates, cfg, &h,
-        )
-    }
-}
-
-/// The PRI search body shared by the standalone and engine-cached entry
-/// points of APPNP's [`VerifiableModel::search_disturbance`].
-#[allow(clippy::too_many_arguments)]
-fn appnp_pri_search(
-    appnp: &Appnp,
-    graph: &Graph,
-    witness: &Witness,
-    test_nodes: &[NodeId],
-    labels: &[usize],
-    candidates: &[Edge],
-    cfg: &RcwConfig,
-    h: &rcw_linalg::Matrix,
-) -> DisturbanceSearch {
-    // Callers guard `candidates.is_empty() || cfg.k == 0` before paying for
-    // the logits, so no guard is repeated here.
-    let mut report = DisturbanceSearch::default();
-    let full = GraphView::full(graph);
-    let pri_cfg = PriConfig {
-        alpha: appnp.alpha(),
-        local_budget: cfg.local_budget.max(1),
-        max_rounds: cfg.pri_rounds,
-        value_iters: cfg.ppr_iters,
-    };
-    'nodes: for (i, &v) in test_nodes.iter().enumerate() {
-        let label = labels[i];
-        for c in 0..appnp.num_classes() {
-            if c == label {
-                continue;
-            }
-            let r: Vec<f64> = (0..graph.num_nodes())
-                .map(|u| h.get(u, c) - h.get(u, label))
-                .collect();
-            let found = pri_search(&full, candidates, &r, v, &pri_cfg);
-            let mut e_star = found.disturbance;
-            if e_star.len() > cfg.k {
-                e_star = truncate_to_k(&full, &e_star, &r, appnp.alpha(), cfg.k);
-            }
-            if e_star.is_empty() {
-                continue;
-            }
-            report.disturbances_checked += 1;
-            let single = Witness::new(witness.subgraph.clone(), vec![v], vec![label]);
-            let (ok, calls) = disturbance_preserves_cw(appnp, graph, &single, &e_star);
-            report.inference_calls += calls;
-            if !ok {
-                report.counterexample = Some(e_star);
-                break 'nodes;
+        let mut scratch = KernelScratch::default();
+        for (i, &v) in test_nodes.iter().enumerate() {
+            let single = Witness::new(witness.subgraph.clone(), vec![v], vec![labels[i]]);
+            let found = pri_check_node(self, graph, &single, candidates, cfg, &mut scratch);
+            report.inference_calls += found.inference_calls;
+            report.disturbances_checked += found.disturbances_checked;
+            if found.counterexample.is_some() {
+                report.counterexample = found.counterexample;
+                break;
             }
         }
+        report
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rcw_gnn::TrainConfig;
-    use rcw_graph::EdgeSubgraph;
+    use rcw_graph::{EdgeSubgraph, GraphView};
 
     /// Two cliques with a featureless boundary node, and a trained APPNP.
     fn setup() -> (Graph, Appnp, usize) {

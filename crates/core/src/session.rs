@@ -4,7 +4,7 @@
 //! is *per-call* work — labels, localities, candidate pools, expand–verify
 //! scratch — parameterized by the shared immutable tier
 //! ([`crate::engine::EngineCaches`]: host CSR, partition, k-hop
-//! neighborhoods, PPR rows, APPNP local logits). The public drivers
+//! neighborhoods, PPR rows). The public drivers
 //! ([`crate::RoboGExp`], [`crate::ParaRoboGExp`]) and the long-lived
 //! [`crate::WitnessEngine`] all run the same session code; they differ only
 //! in how long the shared tier lives.
@@ -576,7 +576,7 @@ pub(crate) fn run_parallel<M: VerifiableModel + ?Sized>(
                 let reports_ref = &reports;
                 let (own_nodes, own_labels) = &nodes_per_worker[wid];
                 scope.spawn(move || {
-                    let report = model.search_disturbance_shared(
+                    let report = model.search_disturbance(
                         graph,
                         witness_ref,
                         own_nodes,
@@ -584,7 +584,6 @@ pub(crate) fn run_parallel<M: VerifiableModel + ?Sized>(
                         cands,
                         cfg,
                         wid as u64,
-                        caches,
                     );
                     reports_ref
                         .lock()

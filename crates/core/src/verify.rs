@@ -164,7 +164,7 @@ pub fn verify_factual(model: &dyn GnnModel, graph: &Graph, witness: &Witness) ->
 }
 
 /// [`verify_factual`] over caller-provided kernel scratch buffers.
-fn verify_factual_with(
+pub(crate) fn verify_factual_with(
     model: &dyn GnnModel,
     graph: &Graph,
     witness: &Witness,
@@ -192,7 +192,7 @@ pub fn verify_counterfactual(
 }
 
 /// [`verify_counterfactual`] over caller-provided kernel scratch buffers.
-fn verify_counterfactual_with(
+pub(crate) fn verify_counterfactual_with(
     model: &dyn GnnModel,
     graph: &Graph,
     witness: &Witness,
@@ -237,7 +237,7 @@ pub fn disturbance_preserves_cw(
 }
 
 /// [`disturbance_preserves_cw`] over caller-provided kernel scratch buffers.
-fn disturbance_preserves_cw_with(
+pub(crate) fn disturbance_preserves_cw_with(
     model: &dyn GnnModel,
     graph: &Graph,
     witness: &Witness,

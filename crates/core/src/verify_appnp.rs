@@ -8,33 +8,23 @@
 //! policy-iteration search (`rcw-pagerank::pri_search`), and its effect is
 //! confirmed with two inference calls (the disturbed graph must keep label
 //! `l`, and the disturbed remainder must still flip it).
+//!
+//! `H = f_theta(X)` comes from the model itself ([`Appnp::local_logits`],
+//! cached per feature epoch), the same rows its localized inference reads.
+//! One [`KernelScratch`] is threaded through every inference call of a
+//! verification.
 
 use crate::config::RcwConfig;
 use crate::engine::EngineCaches;
+use crate::model::DisturbanceSearch;
 use crate::verify::{
-    candidate_pairs, candidate_pairs_bounded, disturbance_preserves_cw, verify_counterfactual,
-    verify_factual,
+    candidate_pairs, candidate_pairs_bounded, disturbance_preserves_cw_with,
+    verify_counterfactual_with, verify_factual_with,
 };
 use crate::witness::{VerifyOutcome, Witness, WitnessLevel};
-use rcw_gnn::{Appnp, GnnModel};
-use rcw_graph::{EdgeSet, Graph, GraphView, NodeId};
-use rcw_linalg::Matrix;
+use rcw_gnn::{Appnp, GnnModel, KernelScratch};
+use rcw_graph::{Edge, EdgeSet, Graph, GraphView, NodeId};
 use rcw_pagerank::{pri_search, truncate_to_k, PriConfig};
-
-/// Shared inputs the APPNP verifier can receive from a long-lived engine
-/// instead of recomputing per call: the local logits `H = f_theta(X)` (one
-/// MLP pass over all nodes) and the engine cache tier (k-hop neighborhoods,
-/// PPR rows for candidate pruning).
-#[derive(Default)]
-pub struct AppnpVerifyCtx<'a> {
-    /// Precomputed `Appnp::local_logits` over the full view of the graph.
-    /// `None` computes them lazily, only if verification reaches the
-    /// robustness phase — the factual / counterfactual early exits never pay
-    /// the MLP pass.
-    pub logits: Option<&'a Matrix>,
-    /// The shared cache tier, if the caller keeps one alive.
-    pub caches: Option<&'a EngineCaches>,
-}
 
 /// Verifies that `witness` is a k-RCW for a *single* test node under
 /// (k, b)-disturbances, using the APPNP-specific policy-iteration search.
@@ -45,25 +35,47 @@ pub fn verify_rcw_appnp_node(
     node: NodeId,
     cfg: &RcwConfig,
 ) -> VerifyOutcome {
-    verify_rcw_appnp_node_ctx(appnp, graph, witness, node, cfg, &AppnpVerifyCtx::default())
+    verify_rcw_appnp_node_ctx(appnp, graph, witness, node, cfg, None)
 }
 
-/// [`verify_rcw_appnp_node`] with engine-shared state. Bit-identical to the
-/// standalone entry point — the context only removes recomputation.
+/// [`verify_rcw_appnp_node`] over an engine's shared cache tier (k-hop
+/// neighborhoods, PPR rows for candidate pruning). Bit-identical to the
+/// standalone entry point — the caches only remove recomputation.
 pub fn verify_rcw_appnp_node_ctx(
     appnp: &Appnp,
     graph: &Graph,
     witness: &Witness,
     node: NodeId,
     cfg: &RcwConfig,
-    ctx: &AppnpVerifyCtx<'_>,
+    caches: Option<&EngineCaches>,
+) -> VerifyOutcome {
+    verify_node_with(
+        appnp,
+        graph,
+        witness,
+        node,
+        cfg,
+        caches,
+        &mut KernelScratch::default(),
+    )
+}
+
+/// The per-node verifier body over caller-provided kernel scratch buffers.
+fn verify_node_with(
+    appnp: &Appnp,
+    graph: &Graph,
+    witness: &Witness,
+    node: NodeId,
+    cfg: &RcwConfig,
+    caches: Option<&EngineCaches>,
+    scratch: &mut KernelScratch,
 ) -> VerifyOutcome {
     let label = witness
         .label_of(node)
         .expect("verify_rcw_appnp_node: node is not a test node of the witness");
     let single = Witness::new(witness.subgraph.clone(), vec![node], vec![label]);
 
-    let (factual, calls_f) = verify_factual(appnp, graph, &single);
+    let (factual, calls_f) = verify_factual_with(appnp, graph, &single, scratch);
     if !factual {
         return VerifyOutcome {
             level: WitnessLevel::NotAWitness,
@@ -72,8 +84,8 @@ pub fn verify_rcw_appnp_node_ctx(
             disturbances_checked: 0,
         };
     }
-    let (cw, calls_cw) = verify_counterfactual(appnp, graph, &single);
-    let mut calls = calls_f + calls_cw;
+    let (cw, calls_cw) = verify_counterfactual_with(appnp, graph, &single, scratch);
+    let calls = calls_f + calls_cw;
     if !cw {
         return VerifyOutcome {
             level: WitnessLevel::Factual,
@@ -91,23 +103,7 @@ pub fn verify_rcw_appnp_node_ctx(
         };
     }
 
-    let full = GraphView::full(graph);
-    // Lazy logits: only reached past the factual / counterfactual early
-    // exits. With a cache tier the MLP pass is shared across calls (keyed by
-    // the graph's feature epoch); without one it is computed here, once.
-    let (cached_logits, computed_logits);
-    let h: &Matrix = match (ctx.logits, ctx.caches) {
-        (Some(h), _) => h,
-        (None, Some(caches)) => {
-            cached_logits = appnp.local_logits_cached(&full, caches.appnp_logits());
-            &cached_logits
-        }
-        (None, None) => {
-            computed_logits = appnp.local_logits(&full);
-            &computed_logits
-        }
-    };
-    let candidates = match ctx.caches {
+    let candidates = match caches {
         Some(caches) => {
             let hood = caches.hood(graph, &[node], cfg.candidate_hops);
             candidate_pairs_bounded(
@@ -121,14 +117,42 @@ pub fn verify_rcw_appnp_node_ctx(
         }
         None => candidate_pairs(graph, witness.edges(), &[node], cfg),
     };
+    let search = pri_check_node(appnp, graph, &single, &candidates, cfg, scratch);
+    VerifyOutcome {
+        level: if search.counterexample.is_some() {
+            WitnessLevel::Counterfactual
+        } else {
+            WitnessLevel::Robust
+        },
+        counterexample: search.counterexample,
+        inference_calls: calls + search.inference_calls,
+        disturbances_checked: search.disturbances_checked,
+    }
+}
+
+/// Algorithm 1's robustness phase for the one test node of `single`: for
+/// every competitor class `c != l`, the worst admissible disturbance the
+/// greedy PRI search finds over `candidates`, confirmed with two inference
+/// calls. Stops at the first disturbance that breaks the witness. Shared by
+/// verification and the parallel workers' disturbance search.
+pub(crate) fn pri_check_node(
+    appnp: &Appnp,
+    graph: &Graph,
+    single: &Witness,
+    candidates: &[Edge],
+    cfg: &RcwConfig,
+    scratch: &mut KernelScratch,
+) -> DisturbanceSearch {
+    let (node, label) = (single.test_nodes[0], single.labels[0]);
+    let full = GraphView::full(graph);
+    let h = appnp.local_logits(graph);
     let pri_cfg = PriConfig {
         alpha: appnp.alpha(),
         local_budget: cfg.local_budget.max(1),
         max_rounds: cfg.pri_rounds,
         value_iters: cfg.ppr_iters,
     };
-
-    let mut checked = 0usize;
+    let mut report = DisturbanceSearch::default();
     for c in 0..appnp.num_classes() {
         if c == label {
             continue;
@@ -137,8 +161,7 @@ pub fn verify_rcw_appnp_node_ctx(
         let r: Vec<f64> = (0..graph.num_nodes())
             .map(|u| h.get(u, c) - h.get(u, label))
             .collect();
-        let result = pri_search(&full, &candidates, &r, node, &pri_cfg);
-        let mut e_star: EdgeSet = result.disturbance;
+        let mut e_star: EdgeSet = pri_search(&full, candidates, &r, node, &pri_cfg).disturbance;
         if e_star.len() > cfg.k {
             // Keep the best-k subset as the candidate counterexample (the
             // strict reading of Algorithm 1 would reject outright; truncating
@@ -149,25 +172,15 @@ pub fn verify_rcw_appnp_node_ctx(
         if e_star.is_empty() {
             continue;
         }
-        checked += 1;
-        let (ok, c_calls) = disturbance_preserves_cw(appnp, graph, &single, &e_star);
-        calls += c_calls;
+        report.disturbances_checked += 1;
+        let (ok, calls) = disturbance_preserves_cw_with(appnp, graph, single, &e_star, scratch);
+        report.inference_calls += calls;
         if !ok {
-            return VerifyOutcome {
-                level: WitnessLevel::Counterfactual,
-                counterexample: Some(e_star),
-                inference_calls: calls,
-                disturbances_checked: checked,
-            };
+            report.counterexample = Some(e_star);
+            break;
         }
     }
-
-    VerifyOutcome {
-        level: WitnessLevel::Robust,
-        counterexample: None,
-        inference_calls: calls,
-        disturbances_checked: checked,
-    }
+    report
 }
 
 /// Verifies a witness against *all* of its test nodes (the configuration's
@@ -179,24 +192,25 @@ pub fn verify_rcw_appnp(
     witness: &Witness,
     cfg: &RcwConfig,
 ) -> VerifyOutcome {
-    verify_rcw_appnp_ctx(appnp, graph, witness, cfg, &AppnpVerifyCtx::default())
+    verify_rcw_appnp_ctx(appnp, graph, witness, cfg, None)
 }
 
-/// [`verify_rcw_appnp`] with engine-shared state: the local logits are
-/// computed (or cached) once for the whole test set instead of per node.
+/// [`verify_rcw_appnp`] over an engine's shared cache tier; one kernel
+/// scratch serves every test node.
 pub fn verify_rcw_appnp_ctx(
     appnp: &Appnp,
     graph: &Graph,
     witness: &Witness,
     cfg: &RcwConfig,
-    ctx: &AppnpVerifyCtx<'_>,
+    caches: Option<&EngineCaches>,
 ) -> VerifyOutcome {
+    let mut scratch = KernelScratch::default();
     let mut total_calls = 0usize;
     let mut total_checked = 0usize;
     let mut weakest = WitnessLevel::Robust;
     let mut counterexample = None;
     for &v in &witness.test_nodes {
-        let out = verify_rcw_appnp_node_ctx(appnp, graph, witness, v, cfg, ctx);
+        let out = verify_node_with(appnp, graph, witness, v, cfg, caches, &mut scratch);
         total_calls += out.inference_calls;
         total_checked += out.disturbances_checked;
         if out.level.rank() < weakest.rank() {
@@ -220,6 +234,7 @@ pub fn verify_rcw_appnp_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_counterfactual;
     use rcw_gnn::TrainConfig;
     use rcw_graph::EdgeSubgraph;
 

@@ -14,11 +14,17 @@
 //! verification of §III-B relies on this model's linearity in the propagation
 //! step: per-node logits are `pi(v)^T H`, where `pi(v)` is node `v`'s
 //! personalized PageRank row — exactly what `rcw-pagerank` computes.
+//!
+//! Because `H` is node-local, the model computes it once per feature epoch
+//! ([`Appnp::local_logits`]) and its localized inference gathers the ball's
+//! rows of `H` and runs only the propagation half of the forward kernel.
 
+use crate::cache::EpochCache;
 use crate::model::{one_hot_labels, pack_all, sized, ForwardScratch, GnnModel};
 use crate::train::{Adam, TrainConfig, TrainReport};
-use rcw_graph::{Csr, ForwardCtx, GraphView, NodeId};
+use rcw_graph::{Csr, ForwardCtx, Graph, GraphView, NodeId};
 use rcw_linalg::{init, matmul_packed_rows, vector, Activation, Matrix, PackedWeights};
+use std::sync::Arc;
 
 /// The APPNP model: an MLP feature transform plus PPR propagation.
 #[derive(Clone, Debug)]
@@ -34,6 +40,9 @@ pub struct Appnp {
     alpha: f64,
     /// Number of propagation (power) iterations.
     prop_iters: usize,
+    /// `H = f_theta(X)` of the last graph evaluated, keyed by its feature
+    /// epoch and dropped by [`Appnp::train`].
+    h: EpochCache<Matrix>,
 }
 
 impl Appnp {
@@ -62,6 +71,7 @@ impl Appnp {
             activation: Activation::Relu,
             alpha,
             prop_iters: prop_iters.max(1),
+            h: EpochCache::new(),
         }
     }
 
@@ -81,7 +91,7 @@ impl Appnp {
     }
 
     /// Applies the MLP transform to the (padded) feature matrix, keeping
-    /// pre-activation traces when `trace` is `true`.
+    /// pre-activation traces for backpropagation.
     fn mlp_forward(&self, x0: &Matrix) -> (Vec<Matrix>, Vec<Matrix>) {
         let mut pre = Vec::with_capacity(self.weights.len());
         let mut post = Vec::with_capacity(self.weights.len());
@@ -100,23 +110,19 @@ impl Appnp {
         (pre, post)
     }
 
-    /// The MLP prediction `H = f_theta(X)` before propagation.
-    pub fn local_logits(&self, view: &GraphView<'_>) -> Matrix {
-        let x0 = crate::pad_features(&view.graph().feature_matrix(), self.feature_dim());
-        self.mlp_forward(&x0).1.pop().expect("non-empty MLP")
-    }
-
-    /// [`Appnp::local_logits`] through a shared cache. `H` depends only on
-    /// node features, so the cache is keyed by the host graph's
-    /// *feature* epoch and survives arbitrary edge disturbances — a
-    /// long-lived engine pays the MLP pass once per feature change instead of
-    /// once per verification call.
-    pub fn local_logits_cached(
-        &self,
-        view: &GraphView<'_>,
-        cache: &crate::cache::EpochCache<Matrix>,
-    ) -> std::sync::Arc<Matrix> {
-        cache.get_or_insert_with(view.graph().feature_epoch(), || self.local_logits(view))
+    /// The MLP prediction `H = f_theta(X)` over every node of `graph`, before
+    /// propagation. `H` depends only on node features, so the model keeps it
+    /// keyed by the graph's *feature* epoch: it survives arbitrary edge
+    /// disturbances, and only a feature change (or [`Appnp::train`]) pays the
+    /// MLP pass again. Localized inference gathers its ball's rows from here.
+    pub fn local_logits(&self, graph: &Graph) -> Arc<Matrix> {
+        self.h.get_or_insert_with(graph.feature_epoch(), || {
+            let all: Vec<NodeId> = graph.node_ids().collect();
+            let x = crate::model::local_features(graph, &all, self.feature_dim());
+            let mut s = ForwardScratch::default();
+            let dim = self.mlp_scratch(&x, &mut s);
+            Matrix::from_vec(x.rows(), dim, s.a)
+        })
     }
 
     /// Applies the propagation `Z = (1-alpha)(I - alpha P)^{-1} H` by
@@ -154,18 +160,12 @@ impl Appnp {
         z
     }
 
-    /// The zero-allocation forward kernel: the MLP ping-pongs through the
-    /// scratch, then the PPR iteration runs over `b` (teleport base), `c`
-    /// (iterate) and `d` (SpMM buffer). The logits end up in `s.a`.
-    fn forward_scratch<'s>(
-        &self,
-        ctx: &ForwardCtx<'_>,
-        x: &Matrix,
-        s: &'s mut ForwardScratch,
-    ) -> &'s [f64] {
+    /// The MLP half of the zero-allocation forward kernel: `H = f_theta(X)`
+    /// ping-pongs through the scratch and ends up in `s.a`. Returns `H`'s
+    /// width. Node-local, so every row is computed.
+    fn mlp_scratch(&self, x: &Matrix, s: &mut ForwardScratch) -> usize {
         let n = x.rows();
         let layers = self.weights_p.len();
-        // MLP transform H = f_theta(X): node-local, so every row is computed.
         s.a.clear();
         s.a.extend_from_slice(x.data());
         let mut dim = x.cols();
@@ -180,7 +180,20 @@ impl Appnp {
             std::mem::swap(&mut s.a, &mut s.c);
             dim = od;
         }
-        // PPR fixed point z <- alpha * P z + (1 - alpha) * H.
+        dim
+    }
+
+    /// The propagation half of the zero-allocation forward kernel: reads the
+    /// `n x dim` matrix `H` from `s.a` and runs the PPR fixed point
+    /// `z <- alpha * P z + (1 - alpha) * H` over `b` (teleport base), `c`
+    /// (iterate) and `d` (SpMM buffer). The logits end up in `s.a`.
+    fn propagate_scratch<'s>(
+        &self,
+        ctx: &ForwardCtx<'_>,
+        n: usize,
+        dim: usize,
+        s: &'s mut ForwardScratch,
+    ) -> &'s [f64] {
         let base = sized(&mut s.b, n * dim);
         for (o, &h) in base.iter_mut().zip(s.a.iter()) {
             *o = h * (1.0 - self.alpha);
@@ -206,6 +219,17 @@ impl Appnp {
         }
         std::mem::swap(&mut s.a, &mut s.c);
         &s.a
+    }
+
+    /// The full forward kernel: the MLP half, then the propagation half.
+    fn forward_scratch<'s>(
+        &self,
+        ctx: &ForwardCtx<'_>,
+        x: &Matrix,
+        s: &'s mut ForwardScratch,
+    ) -> &'s [f64] {
+        let dim = self.mlp_scratch(x, s);
+        self.propagate_scratch(ctx, x.rows(), dim, s)
     }
 
     /// Applies the *transposed* propagation, used for backpropagation:
@@ -307,6 +331,7 @@ impl Appnp {
                 .push(correct as f64 / train_nodes.len() as f64);
         }
         self.weights_p = pack_all(&self.weights);
+        self.h.invalidate();
         report
     }
 }
@@ -345,6 +370,28 @@ impl GnnModel for Appnp {
         scratch: &'s mut ForwardScratch,
     ) -> &'s [f64] {
         self.forward_scratch(ctx, x, scratch)
+    }
+
+    /// The ball's rows of the cached `H`, so localized inference skips the
+    /// MLP: bit-identical to running it on the ball's feature rows.
+    fn local_inputs_into(&self, graph: &Graph, nodes: &[NodeId], out: &mut Matrix) {
+        let h = self.local_logits(graph);
+        out.reset(nodes.len(), h.cols());
+        for (i, &v) in nodes.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(h.row(v));
+        }
+    }
+
+    /// Only the propagation half: `inputs` already holds the ball's `H` rows.
+    fn forward_local_into<'s>(
+        &self,
+        ctx: &ForwardCtx<'_>,
+        inputs: &Matrix,
+        scratch: &'s mut ForwardScratch,
+    ) -> &'s [f64] {
+        scratch.a.clear();
+        scratch.a.extend_from_slice(inputs.data());
+        self.propagate_scratch(ctx, inputs.rows(), inputs.cols(), scratch)
     }
 }
 

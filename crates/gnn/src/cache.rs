@@ -1,22 +1,33 @@
 //! Epoch-keyed model-side caches.
 //!
-//! Long-lived serving state (the `WitnessEngine` in `rcw-core`) re-evaluates
-//! the same model over the same graph across many queries. Model-side
-//! intermediates that depend only on a slowly-changing input — the APPNP
-//! local logits `H = f_theta(X)`, which depend on node features but not on
-//! edges — are cached here, keyed by the relevant [`rcw_graph::Graph`] epoch
-//! ([`Graph::feature_epoch`](rcw_graph::Graph::feature_epoch) for
-//! feature-only state). A stale epoch simply recomputes; there is no
-//! invalidation API to call at mutation time.
+//! A model is re-evaluated over the same graph by every localized inference
+//! call. Model-side intermediates that depend only on a slowly-changing
+//! input are cached with the model, keyed by the relevant
+//! [`rcw_graph::Graph`] epoch. The one user is [`crate::Appnp`]: its local
+//! logits `H = f_theta(X)` depend on node features but not on edges, so the
+//! model keeps them keyed by
+//! [`Graph::feature_epoch`](rcw_graph::Graph::feature_epoch) and every ball
+//! gathers rows of `H` instead of re-running the MLP. A stale epoch simply
+//! recomputes, so there is no invalidation API to call at graph mutation
+//! time; only a change of the model itself (training) drops the slot.
 
 use std::sync::{Arc, Mutex};
 
 /// A single-slot cache holding one value tagged with the epoch it was
-/// computed at. Interior-mutable (`&self` API) so it can sit inside shared
-/// engine state and be used from worker threads.
+/// computed at. Interior-mutable (`&self` API) so it can sit inside a shared
+/// model and be used from worker threads. A clone starts with the same
+/// cached value in a slot of its own.
 #[derive(Debug, Default)]
 pub struct EpochCache<T> {
     slot: Mutex<Option<(u64, Arc<T>)>>,
+}
+
+impl<T> Clone for EpochCache<T> {
+    fn clone(&self) -> Self {
+        EpochCache {
+            slot: Mutex::new(self.slot.lock().expect("EpochCache lock poisoned").clone()),
+        }
+    }
 }
 
 impl<T> EpochCache<T> {
@@ -78,6 +89,17 @@ mod tests {
         assert_eq!(get(2), 20);
         assert_eq!(computes, 2);
         assert_eq!(cache.cached_epoch(), Some(2));
+    }
+
+    #[test]
+    fn a_clone_keeps_the_value_in_a_slot_of_its_own() {
+        let cache: EpochCache<u8> = EpochCache::new();
+        cache.get_or_insert_with(3, || 1);
+        let copy = cache.clone();
+        assert_eq!(*copy.get_or_insert_with(3, || 2), 1, "clone starts warm");
+        copy.invalidate();
+        assert_eq!(copy.cached_epoch(), None);
+        assert_eq!(cache.cached_epoch(), Some(3), "the original is untouched");
     }
 
     #[test]

@@ -55,16 +55,17 @@ pub(crate) fn pack_all(weights: &[Matrix]) -> Vec<PackedWeights> {
 }
 
 /// All working memory a localized inference query needs: the receptive-field
-/// ball and its BFS scratch, the single-removal variant scratch, the local
-/// feature matrix, and the per-layer forward buffers. One `KernelScratch`
-/// per worker makes `predict_with` / `margin_many_removed_with` allocation-free
-/// in steady state; results are bit-identical to the allocating entry points.
+/// ball and its BFS scratch, the single-removal variant scratch, the ball's
+/// input rows ([`GnnModel::local_inputs_into`]), and the per-layer forward
+/// buffers. One `KernelScratch` per worker makes `predict_with` /
+/// `margin_many_removed_with` allocation-free in steady state; results are
+/// bit-identical to the allocating entry points.
 #[derive(Debug)]
 pub struct KernelScratch {
     pub(crate) ball: Locality,
     pub(crate) build: BallScratch,
     pub(crate) variant: BallVariant,
-    pub(crate) features: Matrix,
+    pub(crate) inputs: Matrix,
     pub(crate) fwd: ForwardScratch,
 }
 
@@ -74,7 +75,7 @@ impl Default for KernelScratch {
             ball: Locality::default(),
             build: BallScratch::default(),
             variant: BallVariant::default(),
-            features: Matrix::zeros(0, 0),
+            inputs: Matrix::zeros(0, 0),
             fwd: ForwardScratch::default(),
         }
     }
@@ -122,6 +123,27 @@ pub trait GnnModel: Send + Sync {
         scratch.out.clear();
         scratch.out.extend_from_slice(z.data());
         &scratch.out
+    }
+
+    /// Gathers the rows a localized forward reads for the ball `nodes` of
+    /// `graph` into `out`, one row per ball node in ball order. The default
+    /// is the padded feature rows; a model whose first stage is node-local
+    /// may gather that stage's cached output instead, paired with a
+    /// [`GnnModel::forward_local_into`] that skips the stage.
+    fn local_inputs_into(&self, graph: &Graph, nodes: &[NodeId], out: &mut Matrix) {
+        local_features_into(graph, nodes, self.feature_dim(), out);
+    }
+
+    /// The localized forward from the rows [`GnnModel::local_inputs_into`]
+    /// gathered. Default: [`GnnModel::forward_into`]. Overrides must stay
+    /// bit-identical to `forward_into` on the feature rows.
+    fn forward_local_into<'s>(
+        &self,
+        ctx: &ForwardCtx<'_>,
+        inputs: &Matrix,
+        scratch: &'s mut ForwardScratch,
+    ) -> &'s [f64] {
+        self.forward_into(ctx, inputs, scratch)
     }
 
     /// Computes the logits matrix `Z` (`|V| x |L|`) of the model over the
@@ -199,20 +221,12 @@ pub trait GnnModel: Send + Sync {
         scratch
             .ball
             .rebuild_multi(view, centers, self.receptive_hops(), &mut scratch.build);
-        local_features_into(
-            view.graph(),
-            scratch.ball.nodes(),
-            self.feature_dim(),
-            &mut scratch.features,
-        );
+        self.local_inputs_into(view.graph(), scratch.ball.nodes(), &mut scratch.inputs);
         let KernelScratch {
-            ball,
-            features,
-            fwd,
-            ..
+            ball, inputs, fwd, ..
         } = scratch;
         let ctx = ball.forward_ctx();
-        let z = self.forward_into(&ctx, features, fwd);
+        let z = self.forward_local_into(&ctx, inputs, fwd);
         let k = self.num_classes();
         Some(
             centers
@@ -303,16 +317,11 @@ pub trait GnnModel: Send + Sync {
         scratch
             .ball
             .rebuild(base, v, self.receptive_hops(), &mut scratch.build);
-        local_features_into(
-            base.graph(),
-            scratch.ball.nodes(),
-            self.feature_dim(),
-            &mut scratch.features,
-        );
+        self.local_inputs_into(base.graph(), scratch.ball.nodes(), &mut scratch.inputs);
         let KernelScratch {
             ball,
             variant,
-            features,
+            inputs,
             fwd,
             ..
         } = scratch;
@@ -328,14 +337,14 @@ pub trait GnnModel: Send + Sync {
                     if let Some(m) = base_margin {
                         m
                     } else {
-                        let z = self.forward_into(&ball.forward_ctx(), features, fwd);
+                        let z = self.forward_local_into(&ball.forward_ctx(), inputs, fwd);
                         let m = margin_of_row(&z[center * k..(center + 1) * k], label);
                         base_margin = Some(m);
                         m
                     }
                 } else {
                     let ctx = ball.minus_edge_ctx(a, b, variant);
-                    let z = self.forward_into(&ctx, features, fwd);
+                    let z = self.forward_local_into(&ctx, inputs, fwd);
                     margin_of_row(&z[center * k..(center + 1) * k], label)
                 }
             })
@@ -355,8 +364,8 @@ pub fn localized_logits_row<M: GnnModel + ?Sized>(
 }
 
 /// [`localized_logits_row`] over caller-provided scratch buffers: ball
-/// extraction, local features, and the forward pass all reuse the scratch,
-/// and the returned row borrows it. The zero-allocation core behind
+/// extraction, the ball's input rows, and the forward pass all reuse the
+/// scratch, and the returned row borrows it. The zero-allocation core behind
 /// `predict_with` / `margin_with`.
 pub fn localized_logits_into<'s, M: GnnModel + ?Sized>(
     model: &M,
@@ -367,14 +376,9 @@ pub fn localized_logits_into<'s, M: GnnModel + ?Sized>(
     scratch
         .ball
         .rebuild(view, v, model.receptive_hops(), &mut scratch.build);
-    local_features_into(
-        view.graph(),
-        scratch.ball.nodes(),
-        model.feature_dim(),
-        &mut scratch.features,
-    );
+    model.local_inputs_into(view.graph(), scratch.ball.nodes(), &mut scratch.inputs);
     let ctx = scratch.ball.forward_ctx();
-    let z = model.forward_into(&ctx, &scratch.features, &mut scratch.fwd);
+    let z = model.forward_local_into(&ctx, &scratch.inputs, &mut scratch.fwd);
     let k = model.num_classes();
     let center = scratch.ball.center_index();
     &z[center * k..(center + 1) * k]

@@ -134,7 +134,7 @@ mod tests {
     fn margin_sign_agrees_with_prediction() {
         let (g, appnp) = trained_setup();
         let view = GraphView::full(&g);
-        let h = appnp.local_logits(&view);
+        let h = appnp.local_logits(&g);
         for v in 0..g.num_nodes() {
             let pred = appnp.predict(v, &view).unwrap();
             let other = 1 - pred;
@@ -154,7 +154,7 @@ mod tests {
         // propagated APPNP logits (up to iteration tolerance).
         let (g, appnp) = trained_setup();
         let view = GraphView::full(&g);
-        let h = appnp.local_logits(&view);
+        let h = appnp.local_logits(&g);
         let z = appnp.logits(&view);
         for v in [0usize, 4, 7] {
             let m = margin_on_view(&appnp, &view, &h, v, 0, 1);
@@ -170,7 +170,7 @@ mod tests {
     fn disturbance_can_reduce_the_margin() {
         let (g, appnp) = trained_setup();
         let view = GraphView::full(&g);
-        let h = appnp.local_logits(&view);
+        let h = appnp.local_logits(&g);
         // node 4 sits at the boundary; rewiring it towards the other community
         // should reduce its class-0 margin
         let v = 4;
@@ -195,7 +195,7 @@ mod tests {
     fn min_margin_is_at_most_any_single_margin() {
         let (g, appnp) = trained_setup();
         let view = GraphView::full(&g);
-        let h = appnp.local_logits(&view);
+        let h = appnp.local_logits(&g);
         let v = 2;
         let l = appnp.predict(v, &view).unwrap();
         let min = min_margin_all_classes(&appnp, &view, &h, v, l);

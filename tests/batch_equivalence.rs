@@ -7,11 +7,13 @@
 //! per-request path. The claim this sweep pins: for any batch (all-warm,
 //! all-cold, mixed, with in-batch duplicates, before and after a
 //! disturbance), the witnesses, levels, and final engine counters are
-//! exactly what per-request execution produces. The sweep runs GCN and APPNP
-//! over pinned-seed SBM graphs so both verification families go through the
+//! exactly what per-request execution produces. The sweep runs all four
+//! served models (GCN, APPNP, GraphSAGE, GAT) over pinned-seed SBM graphs so
+//! both verification families and every localized kernel go through the
 //! batched path.
 
 use robogexp::core::{RcwConfig, SessionBudget, WitnessEngine};
+use robogexp::gnn::{Gat, GraphSage};
 use robogexp::graph::{generators, Disturbance};
 use robogexp::prelude::*;
 use std::sync::Arc;
@@ -128,5 +130,8 @@ fn batched_generation_is_bit_identical_to_per_request() {
         let mut appnp = Appnp::new(&[2, 6, 2], 0.2, 10, 2);
         appnp.train(&view, &train, &tc);
         run_sweep(seed, &g, &appnp);
+        // SAGE and GAT are inference-only: seeded weights, no training
+        run_sweep(seed, &g, &GraphSage::new(&[2, 8, 2], seed));
+        run_sweep(seed, &g, &Gat::new(&[2, 8, 2], seed));
     }
 }

@@ -6,9 +6,14 @@
 //! random SBM graphs under restricted / removed / flipped views, plus the
 //! boundary cases (isolated node, edgeless view, receptive field covering the
 //! whole graph).
+//!
+//! APPNP's localized path gathers rows of a cached `H = f_theta(X)` instead of
+//! running its MLP, so the last three tests pin that cache against the full
+//! pass after a feature edit, after retraining a clone of a warmed model, and
+//! with one model alternating between two graphs.
 
 use robogexp::gnn::model::{localized_logits_row, margin_of_row};
-use robogexp::gnn::{Gat, GraphSage, KernelScratch};
+use robogexp::gnn::{Gat, GraphSage, KernelScratch, TrainConfig};
 use robogexp::graph::generators::{ensure_connected, stochastic_block_model};
 use robogexp::linalg::rng::Rng;
 use robogexp::linalg::vector;
@@ -305,5 +310,146 @@ fn whole_graph_receptive_field_is_exact() {
         for v in 0..6 {
             assert_node_equivalence(name, model.as_ref(), v, &view);
         }
+    }
+}
+
+/// Checks every localized APPNP entry point against the rows of the full
+/// `logits(view)` pass, bit for bit, under restricted, removed and flipped
+/// views of `g`. One scratch serves every call.
+fn assert_appnp_matches_full_pass(case: &str, model: &Appnp, g: &Graph) {
+    let n = g.num_nodes();
+    let edges = g.edge_vec();
+    let witness: EdgeSet = edges.iter().copied().step_by(5).take(8).collect();
+    let flips: EdgeSet = edges
+        .iter()
+        .copied()
+        .skip(2)
+        .step_by(7)
+        .take(3)
+        .chain([(0, n - 1)])
+        .collect();
+    let views = [
+        ("restricted", GraphView::restricted_to(g, &witness)),
+        ("removed", GraphView::without(g, &witness)),
+        ("flipped", GraphView::full(g).flipped(&flips)),
+    ];
+    let probes = [0, n / 3, n / 2, n - 1];
+    let mut scratch = KernelScratch::default();
+    for (kind, view) in &views {
+        let full = model.logits(view);
+        for &v in &probes {
+            let row = full.row(v);
+            assert_eq!(
+                model.predict_with(v, view, &mut scratch),
+                Some(vector::argmax(row)),
+                "{case}/{kind}: predict_with({v}) differs from the full pass"
+            );
+            for label in 0..model.num_classes() {
+                let local = model.margin_with(v, label, view, &mut scratch);
+                assert!(
+                    local == margin_of_row(row, label),
+                    "{case}/{kind}: margin_with({v}, {label}) differs from the full pass"
+                );
+            }
+        }
+        let batched = model
+            .predict_many_with(&probes, view, &mut scratch)
+            .expect("valid centers");
+        for (i, &v) in probes.iter().enumerate() {
+            assert_eq!(
+                batched[i],
+                vector::argmax(full.row(v)),
+                "{case}/{kind}: predict_many_with differs from the full pass at node {v}"
+            );
+        }
+        let v = probes[0];
+        let removals: Vec<(NodeId, NodeId)> = edges
+            .iter()
+            .copied()
+            .filter(|&(a, b)| view.has_edge(a, b))
+            .step_by(3)
+            .take(8)
+            .collect();
+        for label in 0..model.num_classes() {
+            let margins = model.margin_many_removed_with(v, label, view, &removals, &mut scratch);
+            for (i, &(a, b)) in removals.iter().enumerate() {
+                let mut variant = view.clone();
+                variant.remove_edge(a, b);
+                let reference = margin_of_row(model.logits(&variant).row(v), label);
+                assert!(
+                    margins[i] == reference,
+                    "{case}/{kind}: margin_many_removed_with({v}, {label}) without ({a},{b}) \
+                     is {} but the full pass gives {reference}",
+                    margins[i]
+                );
+            }
+        }
+    }
+}
+
+/// Row `v` of the full-graph logits, for checking that a test's mutation
+/// really moves the answer (so a stale cached `H` could not pass).
+fn full_row(model: &Appnp, g: &Graph, v: NodeId) -> Vec<f64> {
+    model.logits(&GraphView::full(g)).row(v).to_vec()
+}
+
+#[test]
+fn appnp_h_cache_follows_feature_changes() {
+    for seed in 0u64..3 {
+        let mut g = sbm_graph(seed);
+        let model = Appnp::new(&[4, 6, 3], 0.2, 7, seed);
+        assert_appnp_matches_full_pass("before set_features", &model, &g);
+        // node 0 is a probe center, so it sits in every probed ball
+        let before = full_row(&model, &g, 0);
+        g.set_features(0, vec![3.0, -2.0, 5.0, 1.5]);
+        assert_ne!(full_row(&model, &g, 0), before, "the edit must move node 0");
+        assert_appnp_matches_full_pass("after set_features", &model, &g);
+    }
+}
+
+#[test]
+fn appnp_h_cache_is_reset_by_retraining_a_clone() {
+    for seed in 0u64..3 {
+        let g = sbm_graph(seed);
+        let view = GraphView::full(&g);
+        let model = Appnp::new(&[4, 6, 3], 0.2, 7, seed);
+        // warm the cache, then clone the warmed model and retrain the clone
+        assert_appnp_matches_full_pass("original", &model, &g);
+        let mut retrained = model.clone();
+        let train: Vec<NodeId> = (0..g.num_nodes()).step_by(2).collect();
+        retrained.train(
+            &view,
+            &train,
+            &TrainConfig {
+                epochs: 10,
+                learning_rate: 0.05,
+                ..TrainConfig::default()
+            },
+        );
+        assert_ne!(
+            full_row(&retrained, &g, 0),
+            full_row(&model, &g, 0),
+            "training must move the clone"
+        );
+        assert_appnp_matches_full_pass("retrained clone", &retrained, &g);
+        assert_appnp_matches_full_pass("original after the clone trained", &model, &g);
+    }
+}
+
+#[test]
+fn appnp_h_cache_alternates_between_graphs() {
+    let model = Appnp::new(&[4, 6, 3], 0.2, 7, 5);
+    // same structure, different features: only the feature epoch tells the
+    // two graphs' H apart
+    let a = sbm_graph(2);
+    let mut b = a.clone();
+    for v in 0..b.num_nodes() {
+        let f: Vec<f64> = b.features(v).iter().map(|x| 1.0 - 2.0 * x).collect();
+        b.set_features(v, f);
+    }
+    assert_ne!(full_row(&model, &a, 0), full_row(&model, &b, 0));
+    for round in 0..2 {
+        assert_appnp_matches_full_pass(&format!("graph a, round {round}"), &model, &a);
+        assert_appnp_matches_full_pass(&format!("graph b, round {round}"), &model, &b);
     }
 }
