@@ -3,7 +3,7 @@
 //! The experiment harness: shared plumbing for the binaries and Criterion
 //! benches that regenerate every table and figure of the paper's evaluation
 //! (§VII). Each experiment binary prints the same rows/series the paper
-//! reports; `EXPERIMENTS.md` records paper-reported vs measured values.
+//! reports.
 //!
 //! The harness always compares three explainers on the same trained
 //! classifier:

@@ -38,7 +38,7 @@ use rcw_graph::{
 use rcw_pagerank::PprCache;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Bound on distinct test-node sets the neighborhood cache remembers before
@@ -238,6 +238,13 @@ pub struct StoredWitness {
     /// tagged `stale` rather than erroring, and tries to heal it on each
     /// subsequent query.
     pub stale: bool,
+}
+
+impl StoredWitness {
+    /// Servable as a warm hit at `epoch`: verified under it and not degraded.
+    fn fresh_at(&self, epoch: u64) -> bool {
+        self.epoch == epoch && !self.stale
+    }
 }
 
 /// A cooperative fault-injection hook for the engine's repair and
@@ -645,20 +652,9 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
             let graph = self.graph_snapshot();
             let epoch = graph.epoch();
             let probe = match store.get(&key) {
-                Some(stored) if stored.epoch == epoch && !stored.stale => {
+                Some(stored) if stored.fresh_at(epoch) => {
                     lock_recover(&self.stats).warm_hits += 1;
-                    // Remap to the caller's node order: the store key is
-                    // canonical (sorted, deduped) but the result must pair
-                    // nodes and labels exactly as the cold path would.
-                    let witness = remap_witness(&stored.witness, test_nodes);
-                    let nontrivial = witness.is_nontrivial(&graph);
-                    Probe::Warm(GenerationResult {
-                        witness,
-                        level: stored.level,
-                        nontrivial,
-                        stale: false,
-                        stats: GenerationStats::default(),
-                    })
+                    Probe::Warm(warm_result(&graph, test_nodes, stored))
                 }
                 Some(stored) if stored.epoch == epoch => Probe::Degraded(stored.clone()),
                 // Repair-on-read fallback: a stale-epoch stored witness seeds
@@ -702,15 +698,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                     Some(result) => result,
                     None => {
                         lock_recover(&self.stats).degraded_serves += 1;
-                        let witness = remap_witness(&stored.witness, test_nodes);
-                        let nontrivial = witness.is_nontrivial(&graph);
-                        return Ok(GenerationResult {
-                            witness,
-                            level: stored.level,
-                            nontrivial,
-                            stale: true,
-                            stats: GenerationStats::default(),
-                        });
+                        return Ok(warm_result(&graph, test_nodes, &stored));
                     }
                 }
             }
@@ -733,6 +721,32 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
             },
         );
         Ok(result)
+    }
+
+    /// The non-blocking warm probe: `Some` of exactly what
+    /// [`WitnessEngine::generate`] returns when the store holds a fresh
+    /// (current-epoch, non-stale) witness for `test_nodes`, counted as one
+    /// query and one warm hit as there. `None`, with nothing counted, on a
+    /// miss, on a stale or degraded entry, and whenever the store lock is
+    /// taken — a `disturb` holds it for its whole repair sweep — so the
+    /// caller falls back to [`WitnessEngine::generate_with_budget`] instead
+    /// of waiting. Graph and store are read together under the store lock,
+    /// as on the blocking path.
+    pub fn try_warm_hit(&self, test_nodes: &[NodeId]) -> Option<GenerationResult> {
+        let store = match self.store.try_lock() {
+            Ok(store) => store,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        let graph = self.graph_snapshot();
+        let stored = store
+            .get(&store_key(test_nodes))
+            .filter(|stored| stored.fresh_at(graph.epoch()))?;
+        let result = warm_result(&graph, test_nodes, stored);
+        let mut stats = lock_recover(&self.stats);
+        stats.queries += 1;
+        stats.warm_hits += 1;
+        Some(result)
     }
 
     /// Batched [`WitnessEngine::generate_with_budget`]: one admission pass
@@ -778,20 +792,9 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                     continue;
                 }
                 match store.get(&store_key(nodes)) {
-                    Some(stored) if stored.epoch == epoch && !stored.stale => {
+                    Some(stored) if stored.fresh_at(epoch) => {
                         warm += 1;
-                        let witness = remap_witness(&stored.witness, nodes);
-                        let nontrivial = witness.is_nontrivial(&graph);
-                        emit(
-                            i,
-                            Ok(GenerationResult {
-                                witness,
-                                level: stored.level,
-                                nontrivial,
-                                stale: false,
-                                stats: GenerationStats::default(),
-                            }),
-                        );
+                        emit(i, Ok(warm_result(&graph, nodes, stored)));
                     }
                     // Misses and degraded entries defer with *no* stats
                     // changes: pass 2's full path counts them, so duplicate
@@ -980,7 +983,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                     report.entries.push(EntryRepair {
                         test_nodes: key.clone(),
                         outcome: RepairOutcome::Reverified,
-                        result: warm_equivalent(&graph, &key, &stored),
+                        result: warm_result(&graph, &key, &stored),
                     });
                     store.insert(key, stored);
                     continue;
@@ -1035,7 +1038,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                     report.entries.push(EntryRepair {
                         test_nodes: key.clone(),
                         outcome,
-                        result: warm_equivalent(&graph, &key, &fresh),
+                        result: warm_result(&graph, &key, &fresh),
                     });
                     store.insert(key, fresh);
                 }
@@ -1052,7 +1055,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                     report.entries.push(EntryRepair {
                         test_nodes: key.clone(),
                         outcome: RepairOutcome::Degraded,
-                        result: warm_equivalent(&graph, &key, &stored),
+                        result: warm_result(&graph, &key, &stored),
                     });
                     store.insert(key, stored);
                 }
@@ -1095,12 +1098,24 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
     }
 }
 
-/// The result a warm `generate(key)` returns for `stored` at the current
-/// epoch: remapped to the canonical key order, nontriviality judged against
-/// the post-disturbance graph, zero stats, `stale` carried through (a warm
-/// probe of a degraded entry that fails to heal serves exactly this shape).
-fn warm_equivalent(graph: &Graph, key: &[NodeId], stored: &StoredWitness) -> GenerationResult {
-    let witness = remap_witness(&stored.witness, key);
+/// The one warm answer shape: what `generate(test_nodes)` returns for
+/// `stored` on `graph` — every warm hit, a degraded entry that fails to
+/// heal, and the repair report's per-entry results. The witness is remapped
+/// to the caller's node order (the store key is canonical, sorted and
+/// deduped, but results must pair nodes and labels exactly as a cold run
+/// would), nontriviality is judged against `graph`, stats are zero, and
+/// `stale` is carried through.
+fn warm_result(graph: &Graph, test_nodes: &[NodeId], stored: &StoredWitness) -> GenerationResult {
+    let labels: Vec<usize> = test_nodes
+        .iter()
+        .map(|&v| {
+            stored
+                .witness
+                .label_of(v)
+                .expect("store key guarantees node membership")
+        })
+        .collect();
+    let witness = Witness::new(stored.witness.subgraph.clone(), test_nodes.to_vec(), labels);
     let nontrivial = witness.is_nontrivial(graph);
     GenerationResult {
         witness,
@@ -1109,21 +1124,6 @@ fn warm_equivalent(graph: &Graph, key: &[NodeId], stored: &StoredWitness) -> Gen
         stale: stored.stale,
         stats: GenerationStats::default(),
     }
-}
-
-/// Remaps a stored witness to a caller's node order: the store key is
-/// canonical (sorted, deduped) but results must pair nodes and labels
-/// exactly as a cold run would.
-fn remap_witness(stored: &Witness, test_nodes: &[NodeId]) -> Witness {
-    let labels: Vec<usize> = test_nodes
-        .iter()
-        .map(|&v| {
-            stored
-                .label_of(v)
-                .expect("store key guarantees node membership")
-        })
-        .collect();
-    Witness::new(stored.subgraph.clone(), test_nodes.to_vec(), labels)
 }
 
 /// Locks an engine mutex, recovering from poisoning. A panic inside a
@@ -1211,6 +1211,38 @@ mod tests {
             assert_eq!(again.witness.labels[i], cold.witness.label_of(v).unwrap());
         }
         assert_eq!(engine.stats().warm_hits, 2);
+    }
+
+    #[test]
+    fn try_warm_hit_answers_only_fresh_hits_and_never_waits() {
+        let (g, gcn, _appnp, tests) = setup();
+        let engine = WitnessEngine::new(Arc::clone(&g), &gcn, quick_cfg());
+        assert!(engine.try_warm_hit(&tests).is_none(), "a miss is not a hit");
+        assert_eq!(engine.stats().queries, 0, "a miss counts nothing");
+        engine.generate(&tests);
+        let reordered: Vec<NodeId> = tests.iter().rev().copied().collect();
+        let hit = engine.try_warm_hit(&reordered).expect("fresh entry");
+        let blocking = engine.generate(&reordered);
+        assert_eq!(hit.witness, blocking.witness);
+        assert_eq!(hit.level, blocking.level);
+        assert_eq!(hit.nontrivial, blocking.nontrivial);
+        assert!(!hit.stale);
+        let stats = engine.stats();
+        assert_eq!((stats.queries, stats.warm_hits), (3, 2));
+        // A held store lock (a disturb's repair sweep) turns the probe away.
+        let held = engine.store.lock().unwrap();
+        assert!(engine.try_warm_hit(&tests).is_none());
+        drop(held);
+        assert_eq!(engine.stats().queries, 3);
+        // A stale entry goes to the blocking path, which heals it.
+        engine
+            .store
+            .lock()
+            .unwrap()
+            .values_mut()
+            .for_each(|s| s.stale = true);
+        assert!(engine.try_warm_hit(&tests).is_none());
+        assert_eq!(engine.stats().queries, 3);
     }
 
     #[test]

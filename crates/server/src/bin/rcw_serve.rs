@@ -35,7 +35,8 @@
 //!
 //! Each route is one [`WitnessEngine`] over the full graph; paraRoboGExp's
 //! fragmenting runs inside it when a spec asks for more than one session
-//! worker.
+//! worker. Routes build concurrently, one thread each, and register in
+//! spec order.
 
 use rcw_core::{RcwConfig, VerifiableModel, WitnessEngine};
 use rcw_datasets::{citeseer, Scale};
@@ -305,8 +306,26 @@ fn main() -> ExitCode {
         io_timeout: opts.io_timeout.unwrap_or(Duration::from_secs(5)),
         faults: Arc::clone(&faults),
     };
-    for spec in &opts.specs {
-        match build_engine(spec, &opts, &faults) {
+    // Each route's dataset build and training are independent and seeded,
+    // so the routes build side by side; they register in spec order, and
+    // the first failure in spec order is the one reported.
+    let built: Vec<_> = std::thread::scope(|scope| {
+        let builds: Vec<_> = opts
+            .specs
+            .iter()
+            .map(|spec| scope.spawn(|| build_engine(spec, &opts, &faults)))
+            .collect();
+        builds
+            .into_iter()
+            .map(|build| {
+                build
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            })
+            .collect()
+    });
+    for (spec, engine) in opts.specs.iter().zip(built) {
+        match engine {
             Ok(engine) => config = config.with_route(spec.name.clone(), engine),
             Err(message) => return fail(&message),
         }

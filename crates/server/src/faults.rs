@@ -22,18 +22,19 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Site: a worker panics on a claimed request (possibly mid-batch) before
-/// answering; the request's connection dies, the batch's other members and
-/// the worker survive.
+/// Site: a request's handler panics before answering, on a worker or
+/// inline on the event loop; the request's connection dies, the worker and
+/// the loop survive.
 pub const SITE_WORKER_PANIC: &str = "worker_panic";
-/// Site: a claimed request's connection is dropped unanswered (possibly
-/// mid-batch) before it is counted or routed.
+/// Site: a request's connection is dropped unanswered, on a worker or
+/// inline on the event loop, before it is counted or routed.
 pub const SITE_CONN_DROP: &str = "conn_drop";
 /// Site: the worker stalls after claiming from the admission scheduler, as
 /// a slow disk or lock would — later admissions back up behind the claim
 /// (clients see slow/penalized requests).
 pub const SITE_READ_STALL: &str = "read_stall";
-/// Site: the server drops the connection instead of writing the response.
+/// Site: the server drops the connection instead of writing the response
+/// (worker and inline answers alike).
 pub const SITE_WRITE_DROP: &str = "write_drop";
 /// Site: the server writes a truncated response, then drops the connection.
 pub const SITE_WRITE_TRUNCATE: &str = "write_truncate";

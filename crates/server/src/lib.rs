@@ -2,9 +2,10 @@
 //!
 //! A std-only serving layer in front of [`rcw_core::WitnessEngine`]:
 //! hand-rolled HTTP/1.1 over `std::net::TcpListener`, a readiness-driven
-//! event loop, an admission scheduler that forms `/generate` micro-batches,
-//! and a line-oriented JSON wire format ([`wire`]) — no external crates,
-//! matching the rest of the workspace.
+//! event loop that answers warm `/generate` hits itself, a FIFO admission
+//! queue in front of a worker pool for everything else, and a line-oriented
+//! JSON wire format ([`wire`]) — no external crates, matching the rest of
+//! the workspace.
 //!
 //! All bodies ride the **v1 envelope**: every request and response object
 //! carries `"v": 1`, decoders reject missing or future versions with the
@@ -41,26 +42,24 @@
 //! The calling thread runs a **nonblocking event loop** over the listener
 //! and every accepted socket: it accepts, reads, and parses requests
 //! incrementally (one [`http::FrameBuf`] per connection), writes queued
-//! response bytes as sockets drain, and never blocks on a peer. Complete
-//! requests are handed to the **admission scheduler** — a FIFO the worker
-//! pool claims from. A claim takes the queue head plus every already-queued
-//! request that is *batch-compatible* with it: same engine, `POST
-//! [/NAME]/generate`, admitted within [`ADMISSION_WINDOW`] of the head
-//! (capped at [`MAX_BATCH`]). A claim never waits for more arrivals — the
-//! window only bounds how stale a batch head can be relative to its tail,
-//! so an isolated request is claimed solo within microseconds. The *loop*
-//! is what gives batches a chance to fill: it wakes a worker only once per
-//! arrival lull (or when the pending head ages past the window, or
-//! [`MAX_BATCH`] accumulates), so a burst admitted over a few sweeps is
-//! claimed as one batch instead of a train of singletons.
+//! response bytes as sockets drain, and never blocks on a peer.
 //!
-//! Batched `/generate` claims answer through
-//! [`ServedEngine::generate_batch_with`]: one pass under a single store
-//! lock serves every warm query, then the cold tail runs per-request —
-//! bit-identical to per-request execution (pinned by the
-//! `batch_equivalence` sweep). Long expand-verify sessions therefore
-//! occupy one worker while warm hits keep flowing through the others, and
-//! same-engine warm bursts collapse into single-lock passes.
+//! **Warm hits on the loop.** A `POST [/NAME]/generate` whose budget has
+//! not expired and whose node set is a fresh store hit is answered by the
+//! loop itself through [`ServedEngine::try_warm_hit`]: a `try_lock` probe
+//! that never waits, so the answer skips both thread handoffs (loop →
+//! worker → loop). Everything else goes to the workers: other endpoints,
+//! malformed bodies, misses, stale or degraded entries, expired budgets,
+//! and any probe that finds the store lock taken (a `/disturb` holds it for
+//! its whole repair sweep). An inline answer passes the same request-level
+//! fault sites as a worker answer (`conn_drop`, `worker_panic`,
+//! `write_drop`, `write_truncate`) and is counted in
+//! [`ServeReport::requests_inline`].
+//!
+//! **Workers.** The rest is queued on the **admission scheduler**, a FIFO
+//! the worker pool claims from one request at a time; each push wakes one
+//! worker. Long expand-verify sessions occupy a worker while warm hits keep
+//! flowing on the loop.
 //!
 //! ## Multi-engine routing
 //!
@@ -93,8 +92,8 @@
 //! Shutdown is graceful: accepting stops, in-flight requests finish (an
 //! actively-requesting kept-alive peer gets its answer with `connection:
 //! close`), the pool drains, and [`RcwServer::serve`] returns a
-//! [`ServeReport`] with per-worker request counts, the overload/deadline
-//! totals, and the number of micro-batches formed.
+//! [`ServeReport`] with per-worker and inline request counts and the
+//! overload/deadline totals.
 
 pub mod client;
 pub mod faults;
@@ -121,16 +120,6 @@ use wire::Json;
 /// holds a connection slot and how long graceful shutdown can take.
 const IDLE_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How far apart two requests' admission times may be and still share a
-/// micro-batch. A claim NEVER waits out the window — it only stops the
-/// scheduler from stapling a fresh arrival to a head that has already
-/// waited, which would re-time the head's witness against a later clock.
-const ADMISSION_WINDOW: Duration = Duration::from_millis(1);
-
-/// Cap on requests per micro-batch claim: bounds the latency cost a batch
-/// tail can impose on its head and keeps the union warm pass cache-sized.
-const MAX_BATCH: usize = 32;
-
 /// The event loop keeps re-sweeping (yielding the core between sweeps, so
 /// workers and peers on a small machine always run first) while anything
 /// moved within this window, then parks on the completion channel. The
@@ -147,17 +136,13 @@ const IDLE_POLL: Duration = Duration::from_micros(500);
 const TIMEOUT_SCAN_EVERY: Duration = Duration::from_millis(25);
 
 /// How long an idle keep-alive connection keeps counting as "about to send
-/// again" for kick deferral after its last admitted request. Long enough to
-/// span a full batch round trip, short enough that a client that has gone
-/// quiet (finished its run, thinking between requests) stops holding
-/// batches open almost immediately.
+/// again" after its last admitted request. While such a peer exists the
+/// loop keeps sweeping instead of parking on the completion channel: a
+/// closed-loop client re-sends microseconds after an inline answer, and an
+/// [`IDLE_POLL`] park would cost more than the answer itself. Short enough
+/// that a client that has gone quiet stops holding the loop awake almost
+/// immediately.
 const RECEPTIVE_WINDOW: Duration = Duration::from_millis(5);
-
-/// Upper bound on how long a pending batch head waits for receptive peers
-/// that have not actually sent anything yet. Keeps the worst case (a peer
-/// that was active moments ago but has gone quiet) to a small fraction of
-/// the admission window.
-const KICK_GRACE: Duration = Duration::from_micros(100);
 
 /// Upper bound of the injected `read_stall` fault's sleep.
 const INJECTED_STALL: Duration = Duration::from_millis(250);
@@ -193,21 +178,10 @@ pub trait ServedEngine: Sync {
         budget: &SessionBudget,
     ) -> Result<GenerationResult, BudgetExceeded>;
 
-    /// [`WitnessEngine::generate_batch_with`]: answer a micro-batch of
-    /// witness queries, emitting one result per query index. Must be
-    /// bit-identical to calling [`ServedEngine::generate_with_budget`] per
-    /// query in order — the default implementation does exactly that;
-    /// engines override it to share work across the batch.
-    fn generate_batch_with(
-        &self,
-        queries: &[Vec<usize>],
-        budgets: &[SessionBudget],
-        emit: &mut dyn FnMut(usize, Result<GenerationResult, BudgetExceeded>),
-    ) {
-        for (i, (nodes, budget)) in queries.iter().zip(budgets).enumerate() {
-            emit(i, self.generate_with_budget(nodes, budget));
-        }
-    }
+    /// [`WitnessEngine::try_warm_hit`]: the fresh store hit for a query,
+    /// without ever waiting on an engine lock; `None` sends the query down
+    /// the blocking path.
+    fn try_warm_hit(&self, test_nodes: &[usize]) -> Option<GenerationResult>;
 
     /// [`WitnessEngine::disturb`]: apply edge flips and repair the store.
     fn disturb(&self, disturbances: &[Disturbance]) -> DisturbReport;
@@ -231,13 +205,8 @@ impl<M: VerifiableModel + ?Sized> ServedEngine for WitnessEngine<'_, M> {
         WitnessEngine::generate_with_budget(self, test_nodes, budget)
     }
 
-    fn generate_batch_with(
-        &self,
-        queries: &[Vec<usize>],
-        budgets: &[SessionBudget],
-        emit: &mut dyn FnMut(usize, Result<GenerationResult, BudgetExceeded>),
-    ) {
-        WitnessEngine::generate_batch_with(self, queries, budgets, emit)
+    fn try_warm_hit(&self, test_nodes: &[usize]) -> Option<GenerationResult> {
+        WitnessEngine::try_warm_hit(self, test_nodes)
     }
 
     fn disturb(&self, disturbances: &[Disturbance]) -> DisturbReport {
@@ -406,6 +375,8 @@ pub struct RcwServer {
 pub struct ServeReport {
     /// Requests answered by each worker of the pool.
     pub requests_per_worker: Vec<usize>,
+    /// Warm `/generate` hits the event loop answered itself.
+    pub requests_inline: usize,
     /// Connections whose first request was admitted to the scheduler (shed
     /// and garbage-only connections are not counted).
     pub connections: usize,
@@ -418,9 +389,6 @@ pub struct ServeReport {
     /// connection. The pool never shrinks: a panic costs one connection,
     /// not one worker.
     pub worker_restarts: usize,
-    /// Micro-batches formed by the admission scheduler (claims of two or
-    /// more compatible `/generate` requests).
-    pub batches_formed: usize,
     /// Witness updates owed to subscribers: one per (subscription,
     /// touched-entry) pair per disturbance.
     pub updates_owed: u64,
@@ -432,19 +400,11 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Total requests answered across the pool (shed requests excluded).
+    /// Total requests answered, by the pool and inline (shed requests
+    /// excluded).
     pub fn requests_total(&self) -> usize {
-        self.requests_per_worker.iter().sum()
+        self.requests_per_worker.iter().sum::<usize>() + self.requests_inline
     }
-}
-
-/// What a request is, for batch compatibility at claim time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ItemKind {
-    /// `POST [/NAME]/generate`: batchable with same-engine peers.
-    Generate { engine_idx: usize },
-    /// Everything else: claimed singly.
-    Other,
 }
 
 /// One admitted request waiting in the scheduler.
@@ -452,9 +412,8 @@ struct PendingItem {
     /// Event-loop connection slot the response must go back to.
     conn_id: usize,
     request: Request,
-    kind: ItemKind,
-    /// When the event loop admitted the request: the batch window and the
-    /// `admission_wait_us` counter are both measured from here.
+    /// When the event loop admitted the request: `admission_wait_us` is
+    /// measured from here.
     admitted_at: Instant,
     /// Base of the request's deadline window: accept time for a
     /// connection's first request (queue wait counts), arrival time for
@@ -462,12 +421,8 @@ struct PendingItem {
     deadline_base: Instant,
 }
 
-/// The admission scheduler: a FIFO of admitted requests plus the claim rule
-/// that turns it into continuous batching. Workers claim the queue head and
-/// every already-queued batch-compatible request within the head's
-/// admission window; incompatible requests are skipped in place, so a long
-/// expand-verify session never blocks the warm hits queued behind it on
-/// another worker's claim.
+/// The admission scheduler: a FIFO of admitted requests that workers claim
+/// one at a time.
 struct Scheduler {
     queue: Mutex<VecDeque<PendingItem>>,
     available: Condvar,
@@ -487,19 +442,9 @@ impl Scheduler {
         }
     }
 
-    /// Appends one item WITHOUT waking a worker: the event loop admits a
-    /// whole readiness sweep first, then wakes the pool once with
-    /// [`Scheduler::kick`] — so everything that arrived together is
-    /// claimable as one micro-batch instead of being picked off one by one.
+    /// Appends one item and wakes a worker for it.
     fn push(&self, item: PendingItem) {
-        let mut queue = lock_queue(&self.queue);
-        queue.push_back(item);
-    }
-
-    /// Wakes one worker after a sweep's pushes. Claims chain further
-    /// wake-ups (see [`Scheduler::claim`]), so one kick suffices no matter
-    /// how many claimable units the sweep produced.
-    fn kick(&self) {
+        lock_queue(&self.queue).push_back(item);
         self.available.notify_one();
     }
 
@@ -509,41 +454,13 @@ impl Scheduler {
         self.available.notify_all();
     }
 
-    /// Claims the next unit of work: the queue head, plus (for `/generate`
-    /// heads) every compatible request admitted within the head's window,
-    /// up to [`MAX_BATCH`]. Returns `None` once the scheduler is closed and
-    /// drained. Never waits for a batch to fill.
-    fn claim(&self) -> Option<Vec<PendingItem>> {
+    /// Claims the queue head. Returns `None` once the scheduler is closed
+    /// and drained.
+    fn claim(&self) -> Option<PendingItem> {
         let mut queue = lock_queue(&self.queue);
         loop {
-            if let Some(first) = queue.pop_front() {
-                let mut batch = vec![first];
-                if let ItemKind::Generate { engine_idx } = batch[0].kind {
-                    let cutoff = batch[0].admitted_at + ADMISSION_WINDOW;
-                    let mut i = 0;
-                    while i < queue.len() && batch.len() < MAX_BATCH {
-                        // Admission order is monotone in admitted_at: once
-                        // one item is past the cutoff, everything behind it
-                        // is too.
-                        if queue[i].admitted_at > cutoff {
-                            break;
-                        }
-                        if queue[i].kind == (ItemKind::Generate { engine_idx }) {
-                            let item = queue.remove(i).expect("index bounded by len");
-                            batch.push(item);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                // Work remains beyond this claim: chain the wake-up so the
-                // single kick per sweep still reaches every worker needed.
-                let more = !queue.is_empty();
-                drop(queue);
-                if more {
-                    self.available.notify_one();
-                }
-                return Some(batch);
+            if let Some(item) = queue.pop_front() {
+                return Some(item);
             }
             if self.closed.load(Ordering::SeqCst) {
                 return None;
@@ -603,9 +520,14 @@ struct ServeState<'e, 'c> {
     overloaded: AtomicUsize,
     deadline_rejections: AtomicUsize,
     worker_restarts: AtomicUsize,
-    batches_formed: AtomicUsize,
+    /// Warm hits answered on the event loop.
+    requests_inline: AtomicUsize,
+    /// Worker claims and the requests they carried. A claim is one
+    /// request, so the two stay equal; `/stats` keeps both for clients
+    /// that read their ratio.
     batch_claims: AtomicUsize,
     batch_items: AtomicUsize,
+    /// Total time worker requests sat between admission and claim.
     admission_wait_us: AtomicU64,
     /// Live subscriptions (worker-side view for disturb fan-out).
     subscriptions: Mutex<Vec<SubEntry>>,
@@ -661,9 +583,9 @@ impl RcwServer {
 
     /// Serves the configured engine registry until a `POST /shutdown`
     /// arrives: the calling thread runs the event loop (accept, read,
-    /// parse, write — all nonblocking), workers claim micro-batches from
-    /// the admission scheduler, and requests arriving past the queue bound
-    /// are shed with `429`.
+    /// parse, write — all nonblocking — and warm `/generate` hits), workers
+    /// claim the rest from the admission scheduler, and requests arriving
+    /// past the queue bound are shed with `429`.
     pub fn serve_config(self, config: &ServerConfig<'_>) -> std::io::Result<ServeReport> {
         config
             .validate()
@@ -678,7 +600,7 @@ impl RcwServer {
             overloaded: AtomicUsize::new(0),
             deadline_rejections: AtomicUsize::new(0),
             worker_restarts: AtomicUsize::new(0),
-            batches_formed: AtomicUsize::new(0),
+            requests_inline: AtomicUsize::new(0),
             batch_claims: AtomicUsize::new(0),
             batch_items: AtomicUsize::new(0),
             admission_wait_us: AtomicU64::new(0),
@@ -714,11 +636,11 @@ impl RcwServer {
                 .iter()
                 .map(|c| c.load(Ordering::SeqCst))
                 .collect(),
+            requests_inline: state.requests_inline.load(Ordering::SeqCst),
             connections,
             overloaded: state.overloaded.load(Ordering::SeqCst),
             deadline_rejections: state.deadline_rejections.load(Ordering::SeqCst),
             worker_restarts: state.worker_restarts.load(Ordering::SeqCst),
-            batches_formed: state.batches_formed.load(Ordering::SeqCst),
             updates_owed: state.updates_owed.load(Ordering::SeqCst),
             updates_delivered: state.updates_delivered.load(Ordering::SeqCst),
             updates_shed: state.updates_shed.load(Ordering::SeqCst),
@@ -730,7 +652,7 @@ impl RcwServer {
 // Worker side: claim, fault sites, routing, delivery
 // ---------------------------------------------------------------------------
 
-/// One worker: claims micro-batches until the scheduler closes.
+/// One worker: claims requests until the scheduler closes.
 fn worker_loop(
     wid: usize,
     state: &ServeState<'_, '_>,
@@ -738,81 +660,62 @@ fn worker_loop(
     done: &Sender<Completion>,
 ) {
     let faults = &state.config.faults;
-    let inject = !faults.is_empty();
-    while let Some(batch) = scheduler.claim() {
-        state.queue_depth.fetch_sub(batch.len(), Ordering::SeqCst);
-        if inject && faults.fires(faults::SITE_READ_STALL) {
+    while let Some(item) = scheduler.claim() {
+        state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        if !faults.is_empty() && faults.fires(faults::SITE_READ_STALL) {
             // Injected fault: wedge this worker right after its claim, as a
             // slow disk or lock would — later admissions back up behind it.
             std::thread::sleep(state.config.io_timeout.min(INJECTED_STALL));
         }
-        // Batch bookkeeping happens at claim time, before per-item faults
-        // can kill members: occupancy and batch counts describe what the
-        // scheduler formed, not what survived injection.
         state.batch_claims.fetch_add(1, Ordering::SeqCst);
-        state.batch_items.fetch_add(batch.len(), Ordering::SeqCst);
-        if batch.len() >= 2 {
-            state.batches_formed.fetch_add(1, Ordering::SeqCst);
-        }
-        let claimed_at = Instant::now();
-        let mut live = Vec::with_capacity(batch.len());
-        for item in batch {
-            if inject && faults.fires(faults::SITE_CONN_DROP) {
-                // Injected fault: the connection dies before its request is
-                // served; the rest of the batch proceeds.
-                let _ = done.send(Completion::Kill {
-                    conn_id: item.conn_id,
-                });
-                continue;
-            }
-            if inject && faults.fires(faults::SITE_WORKER_PANIC) {
-                // A panicking handler costs the connection, never the
-                // worker; the unanswered request stays out of the
-                // answered-request accounting.
-                state.worker_restarts.fetch_add(1, Ordering::SeqCst);
-                let _ = done.send(Completion::Kill {
-                    conn_id: item.conn_id,
-                });
-                continue;
-            }
-            // Count before routing: every request a worker takes on is in
-            // the ledger, whatever the route does with it.
-            state.counts[wid].fetch_add(1, Ordering::SeqCst);
-            state.admission_wait_us.fetch_add(
-                claimed_at
-                    .saturating_duration_since(item.admitted_at)
-                    .as_micros() as u64,
-                Ordering::SeqCst,
-            );
-            live.push(item);
-        }
-        if live.is_empty() {
+        state.batch_items.fetch_add(1, Ordering::SeqCst);
+        if let Some(killed) = request_faults(item.conn_id, state) {
+            let _ = done.send(killed);
             continue;
         }
-        match live[0].kind {
-            ItemKind::Generate { engine_idx }
-                if live
-                    .iter()
-                    .all(|item| item.kind == ItemKind::Generate { engine_idx }) =>
-            {
-                serve_generate_batch(live, engine_idx, state, done);
-            }
-            _ => {
-                for item in live {
-                    serve_single(item, state, done);
-                }
-            }
-        }
+        // Count before routing: every request a worker takes on is in the
+        // ledger, whatever the route does with it.
+        state.counts[wid].fetch_add(1, Ordering::SeqCst);
+        state.admission_wait_us.fetch_add(
+            item.admitted_at.elapsed().as_micros() as u64,
+            Ordering::SeqCst,
+        );
+        serve_single(item, state, done);
     }
 }
 
-/// The deadline budget of one admitted request.
-fn item_budget(item: &PendingItem, state: &ServeState<'_, '_>) -> SessionBudget {
-    let window = item
-        .request
+/// The request-level fault sites every answer passes, from a worker or
+/// inline on the event loop, before it is counted: `Some` kills the
+/// connection unanswered.
+fn request_faults(conn_id: usize, state: &ServeState<'_, '_>) -> Option<Completion> {
+    let faults = &state.config.faults;
+    if faults.is_empty() {
+        return None;
+    }
+    if faults.fires(faults::SITE_CONN_DROP) {
+        // Injected fault: the connection dies before its request is served.
+        return Some(Completion::Kill { conn_id });
+    }
+    if faults.fires(faults::SITE_WORKER_PANIC) {
+        // A panicking handler costs the connection, never the worker; the
+        // unanswered request stays out of the answered-request accounting.
+        state.worker_restarts.fetch_add(1, Ordering::SeqCst);
+        return Some(Completion::Kill { conn_id });
+    }
+    None
+}
+
+/// The deadline budget of one admitted request: its `x-rcw-deadline-ms`
+/// header (or the config default) measured from `deadline_base`.
+fn request_budget(
+    config: &ServerConfig<'_>,
+    request: &Request,
+    deadline_base: Instant,
+) -> SessionBudget {
+    let window = request
         .deadline_ms
         .map(Duration::from_millis)
-        .or(state.config.default_deadline);
+        .or(config.default_deadline);
     // The budget is enforced at the engine boundary (the entry check of
     // `generate_with_budget` fires before any session work), not here:
     // control endpoints (`/healthz`, `/stats`, `/shutdown`) must stay
@@ -820,15 +723,39 @@ fn item_budget(item: &PendingItem, state: &ServeState<'_, '_>) -> SessionBudget 
     // an operator shutting down an overloaded server is the case that
     // matters most.
     match window {
-        Some(window) => SessionBudget::with_deadline(item.deadline_base + window),
+        Some(window) => SessionBudget::with_deadline(deadline_base + window),
         None => SessionBudget::unlimited(),
     }
 }
 
-/// Serves one non-batchable request through [`route`], intercepting
-/// `/subscribe` (whose answer is a stream, not a [`Response`]).
+/// The inline answer for a `POST [/NAME]/generate` that is a fresh store
+/// hit with budget left, probed without waiting on any engine lock. `None`
+/// sends the request to the worker pool: another endpoint, a body the
+/// worker must answer 400, an expired budget (answered 503 and counted
+/// there), a miss, a stale or degraded entry, or a store lock held by a
+/// disturb.
+fn inline_hit(
+    state: &ServeState<'_, '_>,
+    request: &Request,
+    deadline_base: Instant,
+) -> Option<GenerationResult> {
+    let engine_idx = generate_route(state.config, request)?;
+    request_budget(state.config, request, deadline_base)
+        .check()
+        .ok()?;
+    let engine = state.config.routes[engine_idx].engine;
+    let nodes = generate_nodes(request, engine.num_nodes()).ok()?;
+    // A panicking probe must not take the loop down: the worker path
+    // retries it under its own 500 containment.
+    catch_unwind(AssertUnwindSafe(|| engine.try_warm_hit(&nodes)))
+        .ok()
+        .flatten()
+}
+
+/// Serves one claimed request through [`route`], intercepting `/subscribe`
+/// (whose answer is a stream, not a [`Response`]).
 fn serve_single(item: PendingItem, state: &ServeState<'_, '_>, done: &Sender<Completion>) {
-    let budget = item_budget(&item, state);
+    let budget = request_budget(state.config, &item.request, item.deadline_base);
     {
         let (engine_idx, endpoint, routed) = resolve_path(state.config, &item.request.path);
         if lookup_endpoint(&item.request.method, endpoint, routed) == Ok(Endpoint::Subscribe) {
@@ -905,69 +832,7 @@ fn serve_subscribe(
     });
 }
 
-/// Serves one same-engine `/generate` micro-batch through the engine's
-/// batched entry: parse failures answer 400 per item, the rest share one
-/// [`ServedEngine::generate_batch_with`] call. Every response ships the
-/// moment its query is answered — the engine's warm pass emits before the
-/// cold tail runs, so a warm hit stapled into a batch ahead of a cold
-/// expand-verify session never waits out that session.
-fn serve_generate_batch(
-    live: Vec<PendingItem>,
-    engine_idx: usize,
-    state: &ServeState<'_, '_>,
-    done: &Sender<Completion>,
-) {
-    let engine = state.config.routes[engine_idx].engine;
-    let num_nodes = engine.num_nodes();
-    let mut items: Vec<Option<PendingItem>> = live.into_iter().map(Some).collect();
-    let mut queries = Vec::with_capacity(items.len());
-    let mut budgets = Vec::with_capacity(items.len());
-    let mut origin = Vec::with_capacity(items.len());
-    for (slot, item_slot) in items.iter_mut().enumerate() {
-        let item = item_slot.as_ref().expect("batch slots start occupied");
-        match generate_nodes(&item.request, num_nodes) {
-            Ok(nodes) => {
-                queries.push(nodes);
-                budgets.push(item_budget(item, state));
-                origin.push(slot);
-            }
-            Err(response) => {
-                let item = item_slot.take().expect("slot still occupied");
-                deliver(item, response, false, state, done);
-            }
-        }
-    }
-    if !queries.is_empty() {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            engine.generate_batch_with(&queries, &budgets, &mut |i, result| {
-                let item = items[origin[i]].take().expect("each query emitted once");
-                let response = match result {
-                    Ok(generated) => Response::ok(wire::generation_to_body(&generated)),
-                    Err(BudgetExceeded) => budget_rejection(state),
-                };
-                deliver(item, response, false, state, done);
-            })
-        }));
-        if outcome.is_err() {
-            // Mid-batch panic: queries already emitted got their answers,
-            // the rest get the 500 a panicking single request would.
-            for &slot in &origin {
-                if let Some(item) = items[slot].take() {
-                    deliver(
-                        item,
-                        Response::error(500, "internal error"),
-                        false,
-                        state,
-                        done,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Ships one response back through the event loop, applying the write-side
-/// fault sites.
+/// Ships one worker response back through the event loop.
 fn deliver(
     item: PendingItem,
     response: Response,
@@ -975,36 +840,50 @@ fn deliver(
     state: &ServeState<'_, '_>,
     done: &Sender<Completion>,
 ) {
+    let _ = done.send(respond(
+        item.conn_id,
+        item.request.close,
+        &response,
+        stop_after,
+        state,
+    ));
+}
+
+/// The completion that writes `response`, from a worker or inline, after
+/// the write-side fault sites.
+fn respond(
+    conn_id: usize,
+    close_requested: bool,
+    response: &Response,
+    stop_after: bool,
+    state: &ServeState<'_, '_>,
+) -> Completion {
     let faults = &state.config.faults;
     let inject = !faults.is_empty();
     // Once shutdown is flagged (by this request or concurrently), the
     // response still goes out but the connection closes: an
     // actively-requesting kept-alive peer must not defer the drain forever.
-    let close = item.request.close || stop_after || state.shutdown.load(Ordering::SeqCst);
+    let close = close_requested || stop_after || state.shutdown.load(Ordering::SeqCst);
     if inject && faults.fires(faults::SITE_WRITE_DROP) {
         // Injected fault: the computed answer never hits the wire.
-        let _ = done.send(Completion::Kill {
-            conn_id: item.conn_id,
-        });
-        return;
+        return Completion::Kill { conn_id };
     }
     if inject && faults.fires(faults::SITE_WRITE_TRUNCATE) {
         // Injected fault: half a real response, then a close — what a peer
         // sees when a server dies mid-write.
-        let bytes = encode_response(&response, true);
-        let half = bytes.len() / 2;
-        let _ = done.send(Completion::Respond {
-            conn_id: item.conn_id,
-            bytes: bytes[..half].to_vec(),
+        let mut bytes = encode_response(response, true);
+        bytes.truncate(bytes.len() / 2);
+        return Completion::Respond {
+            conn_id,
+            bytes,
             close: true,
-        });
-        return;
+        };
     }
-    let _ = done.send(Completion::Respond {
-        conn_id: item.conn_id,
-        bytes: encode_response(&response, close),
+    Completion::Respond {
+        conn_id,
+        bytes: encode_response(response, close),
         close,
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1020,9 +899,10 @@ struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     close_after_write: bool,
-    /// A request from this connection is with the scheduler or a worker:
-    /// the loop neither reads more nor times the connection out until the
-    /// completion comes back.
+    /// A request from this connection is with the scheduler or a worker,
+    /// or its inline answer awaits the end of the sweep: the loop neither
+    /// reads more nor times the connection out until the completion is
+    /// applied.
     busy: bool,
     /// Whether the connection has been counted (first admitted request).
     counted: bool,
@@ -1035,9 +915,9 @@ struct Conn {
     /// When the currently-buffered partial request started arriving.
     frame_since: Option<Instant>,
     /// When this connection last had a request admitted (or was accepted):
-    /// the kick-deferral heuristic treats a recently-active idle keep-alive
-    /// peer as "about to send again" (closed-loop clients re-send as soon
-    /// as their response lands).
+    /// the park guard treats a recently-active idle keep-alive peer as
+    /// "about to send again" (closed-loop clients re-send as soon as their
+    /// response lands).
     last_admit: Instant,
     /// `Some(subscription)` once a `/subscribe` opened a stream on this
     /// connection: it becomes a one-way NDJSON pipe — no further requests
@@ -1049,8 +929,8 @@ struct Conn {
 impl Conn {
     /// An idle keep-alive peer that was recently active: nothing queued in
     /// or out, and it sent within [`RECEPTIVE_WINDOW`]. Such a peer is
-    /// expected to follow up imminently, so a forming batch briefly waits
-    /// for it.
+    /// expected to follow up imminently, so the loop keeps sweeping for it
+    /// instead of parking.
     fn receptive(&self, now: Instant) -> bool {
         !self.busy
             && self.out_pos >= self.out.len()
@@ -1075,13 +955,9 @@ struct EventLoop<'a, 'e, 'c> {
     free: Vec<usize>,
     live: usize,
     connections: usize,
-    /// Whether the current sweep pushed work (kick bookkeeping).
-    pushed: bool,
-    /// Requests admitted since the last [`Scheduler::kick`], and when the
-    /// first of them arrived. The kick is deferred while arrivals continue
-    /// so a burst forms one batch; the window bounds the deferral.
-    pending: usize,
-    pending_since: Option<Instant>,
+    /// Inline answers admitted during this sweep's pumps, applied once the
+    /// sweep has put every connection back in its slot.
+    inline: Vec<Completion>,
     /// Subscription id → connection slot, installed when a
     /// [`Completion::Stream`] is applied and removed at close. Pushes
     /// resolve through this map — never through a raw `conn_id`, which may
@@ -1112,9 +988,7 @@ impl<'a, 'e, 'c> EventLoop<'a, 'e, 'c> {
             free: Vec::new(),
             live: 0,
             connections: 0,
-            pushed: false,
-            pending: 0,
-            pending_since: None,
+            inline: Vec::new(),
             streams: std::collections::HashMap::new(),
             rdbuf: [0u8; 16384],
         }
@@ -1137,32 +1011,13 @@ impl<'a, 'e, 'c> EventLoop<'a, 'e, 'c> {
             for id in 0..self.conns.len() {
                 activity |= self.pump(id);
             }
-            // Kick deferral: hold the worker wakeup while a batch is still
-            // filling, so a burst admitted over several sweeps is claimed as
-            // one micro-batch instead of a train of singletons. The batch
-            // keeps filling while (a) this sweep admitted something, or
-            // (b) receptive peers — recently-active idle keep-alives, i.e.
-            // closed-loop clients whose next request is imminent — exist and
-            // the head is younger than [`KICK_GRACE`]. A full batch or a
-            // head older than the admission window kicks unconditionally:
-            // unrelated socket activity must never starve a queued request.
-            let sweep_admitted = self.pushed;
-            self.pushed = false;
-            if self.pending > 0 {
-                let now = Instant::now();
-                let head_age = self
-                    .pending_since
-                    .map(|t| now.duration_since(t))
-                    .unwrap_or_default();
-                let force = self.pending >= MAX_BATCH || head_age >= ADMISSION_WINDOW;
-                let filling = sweep_admitted
-                    || (head_age < KICK_GRACE
-                        && self.conns.iter().flatten().any(|c| c.receptive(now)));
-                if force || !filling {
-                    self.pending = 0;
-                    self.pending_since = None;
-                    self.scheduler.kick();
-                }
+            // Inline answers go out in the sweep that admitted them. A
+            // pipelined follow-up that one of these writes uncovers is
+            // answered on the next sweep, so one eager peer cannot hold the
+            // loop.
+            for completion in std::mem::take(&mut self.inline) {
+                self.apply(completion);
+                activity = true;
             }
             if self.state.shutdown.load(Ordering::SeqCst) {
                 // Streams are one-way: no final response ever closes them, so
@@ -1194,7 +1049,7 @@ impl<'a, 'e, 'c> EventLoop<'a, 'e, 'c> {
             // (the loop's low vruntime lets it keep preempting the very
             // worker it is waiting on). Accepts and stray bytes are picked
             // up at most IDLE_POLL later.
-            let only_completions_can_wake_us = self.pending == 0
+            let only_completions_can_wake_us = self.inline.is_empty()
                 && self.live > 0
                 && self.conns.iter().flatten().all(|c| {
                     c.busy
@@ -1505,8 +1360,8 @@ impl<'a, 'e, 'c> EventLoop<'a, 'e, 'c> {
         }
     }
 
-    /// Admits one complete request: shed at the queue bound, else classify
-    /// and push to the scheduler.
+    /// Admits one complete request: shed at the queue bound, else answer a
+    /// warm hit inline or push to the scheduler.
     fn admit(&mut self, id: usize, conn: &mut Conn, request: Request) {
         let now = Instant::now();
         // Backpressure: shed at admission when the scheduler is at its
@@ -1528,21 +1383,26 @@ impl<'a, 'e, 'c> EventLoop<'a, 'e, 'c> {
         };
         conn.first_request = false;
         conn.busy = true;
-        let kind = classify(self.state.config, &request);
+        conn.last_admit = now;
+        if let Some(result) = inline_hit(self.state, &request, deadline_base) {
+            // The completion a worker would send, through the same fault
+            // sites; `read_stall` stays with worker claims (the loop never
+            // sleeps).
+            let completion = request_faults(id, self.state).unwrap_or_else(|| {
+                self.state.requests_inline.fetch_add(1, Ordering::SeqCst);
+                let response = Response::ok(wire::generation_to_body(&result));
+                respond(id, request.close, &response, false, self.state)
+            });
+            self.inline.push(completion);
+            return;
+        }
         self.state.queue_depth.fetch_add(1, Ordering::SeqCst);
         self.scheduler.push(PendingItem {
             conn_id: id,
             request,
-            kind,
             admitted_at: now,
             deadline_base,
         });
-        conn.last_admit = now;
-        self.pushed = true;
-        self.pending += 1;
-        if self.pending_since.is_none() {
-            self.pending_since = Some(now);
-        }
     }
 
     /// Periodic sweep for idle and stalled peers.
@@ -1639,9 +1499,9 @@ struct EndpointSpec {
     global_only: bool,
 }
 
-/// The wire's endpoint table. One table drives admission classification
-/// ([`classify`]), routing ([`route`]), and 405-vs-404 synthesis, so the
-/// three can never drift.
+/// The wire's endpoint table. One table drives the inline-hit test
+/// ([`generate_route`]), routing ([`route`]), and 405-vs-404 synthesis, so
+/// the three can never drift.
 const ENDPOINT_TABLE: &[EndpointSpec] = &[
     EndpointSpec {
         method: "GET",
@@ -1721,15 +1581,12 @@ fn lookup_endpoint(method: &str, endpoint: &str, routed: bool) -> Result<Endpoin
     Err(name_matched)
 }
 
-/// Classifies a request for admission through the endpoint table:
-/// `POST [/NAME]/generate` resolves to its engine and is batchable,
-/// everything else is claimed singly.
-fn classify(config: &ServerConfig<'_>, request: &Request) -> ItemKind {
+/// The engine a `POST [/NAME]/generate` resolves to through the endpoint
+/// table; `None` for every other request.
+fn generate_route(config: &ServerConfig<'_>, request: &Request) -> Option<usize> {
     let (engine_idx, endpoint, routed) = resolve_path(config, &request.path);
-    match lookup_endpoint(&request.method, endpoint, routed) {
-        Ok(Endpoint::Generate) => ItemKind::Generate { engine_idx },
-        _ => ItemKind::Other,
-    }
+    (lookup_endpoint(&request.method, endpoint, routed) == Ok(Endpoint::Generate))
+        .then_some(engine_idx)
 }
 
 fn overload_response(state: &ServeState<'_, '_>) -> Response {
@@ -2011,13 +1868,6 @@ fn handle_stats(state: &ServeState<'_, '_>, engine_idx: usize) -> Response {
         .iter()
         .map(|c| Json::Num(c.load(Ordering::SeqCst) as f64))
         .collect();
-    let claims = state.batch_claims.load(Ordering::SeqCst);
-    let claimed_items = state.batch_items.load(Ordering::SeqCst);
-    let occupancy = if claims == 0 {
-        0.0
-    } else {
-        claimed_items as f64 / claims as f64
-    };
     Response::ok(
         wire::versioned(Json::obj([
             ("engine", selected),
@@ -2027,6 +1877,10 @@ fn handle_stats(state: &ServeState<'_, '_>, engine_idx: usize) -> Response {
                 Json::obj([
                     ("workers", Json::num(state.counts.len() as u64)),
                     ("requests_per_worker", Json::Arr(per_worker)),
+                    (
+                        "requests_inline",
+                        Json::num(state.requests_inline.load(Ordering::SeqCst) as u64),
+                    ),
                     ("queue_bound", Json::num(state.config.queue_bound as u64)),
                     (
                         "queue_depth",
@@ -2045,12 +1899,13 @@ fn handle_stats(state: &ServeState<'_, '_>, engine_idx: usize) -> Response {
                         Json::num(state.worker_restarts.load(Ordering::SeqCst) as u64),
                     ),
                     (
-                        "batches_formed",
-                        Json::num(state.batches_formed.load(Ordering::SeqCst) as u64),
+                        "batch_claims",
+                        Json::num(state.batch_claims.load(Ordering::SeqCst) as u64),
                     ),
-                    ("batch_claims", Json::num(claims as u64)),
-                    ("batch_items", Json::num(claimed_items as u64)),
-                    ("batch_occupancy", Json::Num(occupancy)),
+                    (
+                        "batch_items",
+                        Json::num(state.batch_items.load(Ordering::SeqCst) as u64),
+                    ),
                     (
                         "admission_wait_us",
                         Json::num(state.admission_wait_us.load(Ordering::SeqCst)),
@@ -2138,77 +1993,8 @@ mod tests {
             .is_err());
     }
 
-    fn pending(kind: ItemKind, admitted_at: Instant) -> PendingItem {
-        PendingItem {
-            conn_id: 0,
-            request: Request {
-                method: "POST".to_string(),
-                path: "/generate".to_string(),
-                body: Vec::new(),
-                close: false,
-                deadline_ms: None,
-            },
-            kind,
-            admitted_at,
-            deadline_base: admitted_at,
-        }
-    }
-
     #[test]
-    fn scheduler_claims_compatible_generate_batches() {
-        let scheduler = Scheduler::new();
-        let now = Instant::now();
-        scheduler.push(pending(ItemKind::Generate { engine_idx: 0 }, now));
-        scheduler.push(pending(ItemKind::Generate { engine_idx: 0 }, now));
-        scheduler.push(pending(ItemKind::Other, now));
-        scheduler.push(pending(ItemKind::Generate { engine_idx: 0 }, now));
-        scheduler.push(pending(ItemKind::Generate { engine_idx: 1 }, now));
-
-        let batch = scheduler.claim().expect("generate batch");
-        assert_eq!(
-            batch.len(),
-            3,
-            "same-engine generates batch across an interleaved control request"
-        );
-        assert!(batch
-            .iter()
-            .all(|i| i.kind == ItemKind::Generate { engine_idx: 0 }));
-
-        let control = scheduler.claim().expect("control request");
-        assert_eq!(control.len(), 1);
-        assert_eq!(control[0].kind, ItemKind::Other);
-
-        let other_engine = scheduler.claim().expect("second engine");
-        assert_eq!(other_engine.len(), 1);
-        assert_eq!(other_engine[0].kind, ItemKind::Generate { engine_idx: 1 });
-
-        scheduler.close();
-        assert!(
-            scheduler.claim().is_none(),
-            "a closed, drained scheduler stops claiming"
-        );
-    }
-
-    #[test]
-    fn admission_window_bounds_intra_batch_spread() {
-        let scheduler = Scheduler::new();
-        let stale = Instant::now() - 10 * ADMISSION_WINDOW;
-        scheduler.push(pending(ItemKind::Generate { engine_idx: 0 }, stale));
-        scheduler.push(pending(
-            ItemKind::Generate { engine_idx: 0 },
-            Instant::now(),
-        ));
-        let batch = scheduler.claim().expect("stale head");
-        assert_eq!(
-            batch.len(),
-            1,
-            "a fresh arrival does not join a head admitted outside the window"
-        );
-        assert_eq!(scheduler.claim().expect("fresh tail").len(), 1);
-    }
-
-    #[test]
-    fn classify_mirrors_route_prefixes() {
+    fn generate_route_mirrors_route_prefixes() {
         let mut g = rcw_graph::Graph::with_nodes(2);
         g.add_edge(0, 1);
         g.set_features(0, vec![1.0]);
@@ -2230,26 +2016,20 @@ mod tests {
             deadline_ms: None,
         };
         assert_eq!(
-            classify(&config, &request("POST", "/generate")),
-            ItemKind::Generate { engine_idx: 0 }
+            generate_route(&config, &request("POST", "/generate")),
+            Some(0)
         );
         assert_eq!(
-            classify(&config, &request("POST", "/gcn/generate?x=1")),
-            ItemKind::Generate { engine_idx: 1 }
+            generate_route(&config, &request("POST", "/gcn/generate?x=1")),
+            Some(1)
         );
         // Unknown prefixes fall back to the default engine's endpoint set —
-        // which has no "nope/generate", so they stay unbatched.
+        // which has no "nope/generate", so they never go inline.
         assert_eq!(
-            classify(&config, &request("POST", "/nope/generate")),
-            ItemKind::Other
+            generate_route(&config, &request("POST", "/nope/generate")),
+            None
         );
-        assert_eq!(
-            classify(&config, &request("GET", "/generate")),
-            ItemKind::Other
-        );
-        assert_eq!(
-            classify(&config, &request("POST", "/disturb")),
-            ItemKind::Other
-        );
+        assert_eq!(generate_route(&config, &request("GET", "/generate")), None);
+        assert_eq!(generate_route(&config, &request("POST", "/disturb")), None);
     }
 }

@@ -65,8 +65,19 @@ fn rcw_serve_round_trips_and_shuts_down_cleanly() {
         assert_eq!(per_worker.len(), 2);
         assert_eq!(
             per_worker.iter().sum::<usize>(),
-            5,
-            "healthz + 2 generates + disturb + this stats request are counted"
+            4,
+            "healthz + cold generate + disturb + this stats request ran on workers"
+        );
+        let (status, body) = client.request("GET", "/stats", None).expect("raw stats");
+        assert_eq!(status, 200);
+        let inline = body
+            .field("server")
+            .and_then(|server| server.field("requests_inline"))
+            .and_then(|n| n.as_u64())
+            .expect("server.requests_inline on the wire");
+        assert_eq!(
+            inline, 1,
+            "the warm generate was answered on the event loop"
         );
 
         client.shutdown().expect("shutdown");

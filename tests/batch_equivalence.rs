@@ -1,10 +1,9 @@
 //! Seeded equivalence sweep: batched `generate_batch` must be bit-identical
 //! to issuing the same queries one at a time through `generate`.
 //!
-//! The admission scheduler in `rcw-server` answers micro-batches of
-//! `/generate` requests through `WitnessEngine::generate_batch_with` — one
-//! warm pass under a single store lock, then the cold tail through the
-//! per-request path. The claim this sweep pins: for any batch (all-warm,
+//! `WitnessEngine::generate_batch_with` answers a batch with one warm pass
+//! under a single store lock, then the cold tail through the per-request
+//! path. The claim this sweep pins: for any batch (all-warm,
 //! all-cold, mixed, with in-batch duplicates, before and after a
 //! disturbance), the witnesses, levels, and final engine counters are
 //! exactly what per-request execution produces. The sweep runs all four
