@@ -11,7 +11,7 @@
 //!    query. (APPNP's local logits live with the model itself, keyed by the
 //!    graph's feature epoch.)
 //! 2. **Per-query** state: localities, candidate pools, and verification
-//!    scratch, owned by [`crate::session`] runs — repeated
+//!    scratch, owned by the per-query session runs — repeated
 //!    [`WitnessEngine::generate`] calls pay only query-proportional work.
 //! 3. **Mutation epochs**: [`WitnessEngine::disturb`] applies edge flips to
 //!    the host graph (copy-on-write through the `Arc`), advances the graph's
@@ -20,9 +20,9 @@
 //!    re-verifying each under the new graph and re-entering the search,
 //!    seeded from the old witness, only for queries whose witness fails.
 //!
-//! The one-shot drivers [`crate::RoboGExp`] / [`crate::ParaRoboGExp`] are
-//! thin wrappers running the same session code over a private cache instance,
-//! so every existing call site keeps working unchanged.
+//! The paper-facing drivers [`crate::RoboGExp`] / [`crate::ParaRoboGExp`]
+//! are thin wrappers running the same session code over a private cache
+//! instance they keep across calls.
 
 use crate::config::RcwConfig;
 use crate::generate::{GenerationResult, GenerationStats};
@@ -73,9 +73,12 @@ struct PartitionEntry {
 }
 
 /// The engine-lifetime shared immutable tier: every cache is keyed by a graph
-/// epoch, interior-mutable, and safe to share across worker threads. The
-/// one-shot drivers own a private instance (cold on every call); the
-/// [`WitnessEngine`] keeps one alive across queries and disturbances.
+/// epoch, interior-mutable, and safe to share across worker threads. Every
+/// verification runs over one ([`VerifiableModel::verify_rcw`]); a fresh
+/// instance gives the same verdicts as a warm one. [`crate::RoboGExp`] and
+/// [`crate::ParaRoboGExp`] each own a private instance and reuse it across
+/// calls; the [`WitnessEngine`] keeps one alive across queries and
+/// disturbances.
 #[derive(Debug)]
 pub struct EngineCaches {
     ppr: PprCache,
@@ -598,7 +601,7 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
     pub fn verify(&self, witness: &Witness) -> crate::witness::VerifyOutcome {
         let graph = self.graph_snapshot();
         self.model
-            .verify_rcw_shared(&graph, witness, &self.cfg, &self.caches)
+            .verify_rcw(&graph, witness, &self.cfg, &self.caches)
     }
 
     /// Generates (or returns the stored) witness for `test_nodes`.
@@ -968,9 +971,9 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
                     .predict_many_with(&test_nodes, &full, &mut KernelScratch::default())
                     .expect("valid node");
                 let witness = Witness::new(pruned, test_nodes.clone(), labels);
-                let outcome =
-                    self.model
-                        .verify_rcw_shared(&graph, &witness, &self.cfg, &self.caches);
+                let outcome = self
+                    .model
+                    .verify_rcw(&graph, &witness, &self.cfg, &self.caches);
                 report.stats.inference_calls += outcome.inference_calls;
                 report.stats.disturbances_verified += outcome.disturbances_checked;
                 if outcome.level.rank() >= stored.level.rank() {

@@ -65,8 +65,8 @@ pub struct GenerationResult {
 /// tractable verification path through its [`VerifiableModel`] overrides) or
 /// the type-erased `dyn GnnModel` (model-agnostic sampling path).
 ///
-/// Since the engine/session split this driver is a thin wrapper over
-/// [`crate::session`]: it owns a private [`EngineCaches`] instance, so
+/// Since the engine/session split this driver is a thin wrapper over the
+/// shared session code: it owns a private [`EngineCaches`] instance, so
 /// repeated `generate` calls on the same (unmutated) graph reuse the
 /// partition-free shared tier — k-hop neighborhoods and PPR pruning rows —
 /// while [`crate::WitnessEngine`] adds the witness store,
@@ -115,11 +115,11 @@ impl<'a, M: VerifiableModel + ?Sized> RoboGExp<'a, M> {
     }
 
     /// Verification dispatch used by the generator and exposed for callers
-    /// that want to re-verify a witness. Routes through the driver's shared
-    /// cache tier (same verdict as [`VerifiableModel::verify_rcw`]).
+    /// that want to re-verify a witness: [`VerifiableModel::verify_rcw`] over
+    /// the driver's cache tier.
     pub fn verify(&self, graph: &Graph, witness: &Witness) -> VerifyOutcome {
         self.model
-            .verify_rcw_shared(graph, witness, &self.cfg, &self.caches)
+            .verify_rcw(graph, witness, &self.cfg, &self.caches)
     }
 
     /// Generates a k-RCW (best effort) for the given test nodes: one
@@ -139,27 +139,6 @@ impl<'a, M: VerifiableModel + ?Sized> RoboGExp<'a, M> {
         )
         .expect("unlimited session budget cannot expire")
     }
-}
-
-/// Convenience free function mirroring the paper's naming: generates a k-RCW
-/// with an APPNP classifier (tractable verification path).
-pub fn robogexp_appnp(
-    appnp: &Appnp,
-    graph: &Graph,
-    test_nodes: &[NodeId],
-    cfg: &RcwConfig,
-) -> GenerationResult {
-    RoboGExp::for_appnp(appnp, cfg.clone()).generate(graph, test_nodes)
-}
-
-/// Convenience free function for arbitrary models.
-pub fn robogexp(
-    model: &dyn GnnModel,
-    graph: &Graph,
-    test_nodes: &[NodeId],
-    cfg: &RcwConfig,
-) -> GenerationResult {
-    RoboGExp::for_model(model, cfg.clone()).generate(graph, test_nodes)
 }
 
 #[cfg(test)]

@@ -9,18 +9,19 @@
 //!   (NP-hard, bounded) `verifyRCW`.
 //! * [`verify_appnp`] — the tractable `verifyRCW-APPNP` (Algorithm 1) built on
 //!   policy-iteration disturbance search under (k, b)-disturbances.
-//! * [`model`] — the [`VerifiableModel`] dispatch layer: one calling
-//!   convention for every classifier, with APPNP overriding the default
-//!   sampling strategy by the tractable policy-iteration path.
+//! * [`model`] — the [`VerifiableModel`] dispatch layer: one verifier,
+//!   [`VerifiableModel::verify_rcw`], always run over an [`EngineCaches`]
+//!   tier, with APPNP overriding the default sampling strategy by the
+//!   tractable policy-iteration path.
 //! * [`generate`] — the `RoboGExp` expand–verify generator (Algorithm 2).
 //! * [`parallel`] — `paraRoboGExp` (Algorithm 3): partitioned, multi-threaded
 //!   generation with bitmap-synchronized verification.
-//! * [`session`] — the per-query tier: the expand–verify sessions both
-//!   drivers and the engine execute, parameterized by shared caches, plus
-//!   [`SessionBudget`] — the cooperative request-deadline hook a serving
-//!   layer threads into budgeted queries.
+//! * `session` (private) — the per-query tier: the expand–verify sessions
+//!   both drivers and the engine execute, parameterized by shared caches,
+//!   plus [`SessionBudget`] — the cooperative request-deadline hook a
+//!   serving layer threads into budgeted queries.
 //! * [`engine`] — the long-lived [`WitnessEngine`]: engine-lifetime shared
-//!   state (graph + CSR, partition, neighborhoods, PPR rows, APPNP logits),
+//!   state (graph + CSR, partition, neighborhoods, PPR rows),
 //!   a witness store answering repeated queries warm, and
 //!   [`WitnessEngine::disturb`] — mutation epochs with footprint-based cache
 //!   invalidation and in-place witness repair.
@@ -68,18 +69,15 @@ pub use engine::{
     DisturbReport, EngineCaches, EngineFaultHook, EngineSnapshot, EngineStats, EntryRepair,
     RepairOutcome, StoredWitness, WitnessEngine, FAULT_SITE_REGEN, FAULT_SITE_REPAIR,
 };
-pub use generate::{robogexp, robogexp_appnp, GenerationResult, GenerationStats, RoboGExp};
+pub use generate::{GenerationResult, GenerationStats, RoboGExp};
 pub use model::{DisturbanceSearch, VerifiableModel};
 pub use parallel::{ParaRoboGExp, ParallelGenerationResult, ParallelStats};
 pub use session::{BudgetExceeded, SessionBudget};
 pub use verify::{
-    candidate_pairs, candidate_pairs_bounded, candidate_pairs_cached, candidate_pairs_in_hood,
-    disturbance_preserves_cw, verify_counterfactual, verify_factual, verify_rcw, verify_rcw_cached,
-    PRUNE_ALPHA,
+    candidate_pairs_bounded, candidate_pairs_cached, disturbance_preserves_cw,
+    verify_counterfactual, verify_factual, verify_rcw, PRUNE_ALPHA,
 };
-pub use verify_appnp::{
-    verify_rcw_appnp, verify_rcw_appnp_ctx, verify_rcw_appnp_node, verify_rcw_appnp_node_ctx,
-};
+pub use verify_appnp::verify_rcw_appnp;
 pub use witness::{VerifyOutcome, Witness, WitnessLevel};
 
 #[cfg(test)]

@@ -3,12 +3,17 @@
 //! Everything in `rcw-core` — sequential generation, parallel generation, and
 //! re-verification — talks to classifiers through [`VerifiableModel`], an
 //! extension trait over [`GnnModel`] that adds the *verification strategy* to
-//! the *inference function*:
+//! the *inference function*. The trait has one verifier,
+//! [`VerifiableModel::verify_rcw`], and it always runs over an
+//! [`EngineCaches`] tier:
 //!
 //! * the default methods implement the model-agnostic path (enumeration /
 //!   sampling `verifyRCW`, randomized local disturbance search);
 //! * [`Appnp`] overrides them with the tractable policy-iteration path
 //!   (`verifyRCW-APPNP`, Algorithm 1; PRI search for the parallel workers).
+//!
+//! Per-node checks (paraRoboGExp's fan-out, Lemma 6) are the same verifier
+//! called on a one-node witness ([`Witness::single_node`]).
 //!
 //! A type-erased `&dyn GnnModel` is itself a `VerifiableModel` (with the
 //! default strategy), so callers that only hold a trait object — the bench
@@ -19,11 +24,8 @@
 
 use crate::config::RcwConfig;
 use crate::engine::EngineCaches;
-use crate::verify::{disturbance_preserves_cw, verify_rcw, verify_rcw_with_caches};
-use crate::verify_appnp::{
-    pri_check_node, verify_rcw_appnp, verify_rcw_appnp_ctx, verify_rcw_appnp_node,
-    verify_rcw_appnp_node_ctx,
-};
+use crate::verify::{disturbance_preserves_cw, verify_rcw};
+use crate::verify_appnp::{pri_check_node, verify_rcw_appnp};
 use crate::witness::{VerifyOutcome, Witness};
 use rcw_gnn::{Appnp, Gat, Gcn, GnnModel, GraphSage, KernelScratch};
 use rcw_graph::{Edge, EdgeSet, Graph, NodeId};
@@ -48,7 +50,8 @@ pub struct DisturbanceSearch {
 /// The default method bodies implement the model-agnostic strategy; model
 /// families with tractable verification (APPNP, Lemma 4) override them. All
 /// of `rcw-core` dispatches through this trait, so there is exactly one
-/// calling convention for every model.
+/// calling convention for every model, and overriding
+/// [`VerifiableModel::verify_rcw`] changes the verdict on every driver path.
 pub trait VerifiableModel: GnnModel {
     /// Upcast to the plain inference interface. Implementations are always
     /// the single expression `self`; the method exists because generic code
@@ -56,67 +59,18 @@ pub trait VerifiableModel: GnnModel {
     fn as_gnn(&self) -> &dyn GnnModel;
 
     /// `verifyRCW`: verifies `witness` against all of its test nodes under
-    /// (k, b)-disturbances. Default: the model-agnostic enumeration/sampling
-    /// verifier ([`crate::verify::verify_rcw`]).
-    fn verify_rcw(&self, graph: &Graph, witness: &Witness, cfg: &RcwConfig) -> VerifyOutcome {
-        verify_rcw(self.as_gnn(), graph, witness, cfg)
-    }
-
-    /// Verifies `witness` for a *single* test node. Per-node checks are
-    /// independent, which is what `paraRoboGExp` fans out across workers.
-    ///
-    /// # Panics
-    /// Panics if `node` is not a test node of the witness.
-    fn verify_rcw_node(
-        &self,
-        graph: &Graph,
-        witness: &Witness,
-        node: NodeId,
-        cfg: &RcwConfig,
-    ) -> VerifyOutcome {
-        let label = witness
-            .label_of(node)
-            .expect("verify_rcw_node: node is not a test node of the witness");
-        let single = Witness::new(witness.subgraph.clone(), vec![node], vec![label]);
-        VerifiableModel::verify_rcw(self, graph, &single, cfg)
-    }
-
-    /// [`VerifiableModel::verify_rcw`] over an engine's shared cache tier:
-    /// same verdict, but candidate neighborhoods and PPR pruning rows come
-    /// from — and are left in — `caches`. The default ignores the caches and
-    /// delegates to [`VerifiableModel::verify_rcw`], so a downstream impl
-    /// that only overrides `verify_rcw` keeps its strategy on every driver
-    /// path; each in-repo model overrides this to route the same verdict
-    /// through the hood/PPR caches.
-    fn verify_rcw_shared(
+    /// (k, b)-disturbances. Candidate neighborhoods and PPR pruning rows come
+    /// from — and are left in — `caches`; a fresh [`EngineCaches::new`] gives
+    /// the same verdict as a warm one. Default: the model-agnostic
+    /// enumeration/sampling verifier ([`crate::verify::verify_rcw`]).
+    fn verify_rcw(
         &self,
         graph: &Graph,
         witness: &Witness,
         cfg: &RcwConfig,
         caches: &EngineCaches,
     ) -> VerifyOutcome {
-        let _ = caches;
-        VerifiableModel::verify_rcw(self, graph, witness, cfg)
-    }
-
-    /// Per-node variant of [`VerifiableModel::verify_rcw_shared`]. The
-    /// default ignores the caches and delegates to
-    /// [`VerifiableModel::verify_rcw_node`], preserving downstream overrides
-    /// of either per-node or whole-witness verification; in-repo models
-    /// override it to route through the shared caches.
-    ///
-    /// # Panics
-    /// Panics if `node` is not a test node of the witness.
-    fn verify_rcw_node_shared(
-        &self,
-        graph: &Graph,
-        witness: &Witness,
-        node: NodeId,
-        cfg: &RcwConfig,
-        caches: &EngineCaches,
-    ) -> VerifyOutcome {
-        let _ = caches;
-        self.verify_rcw_node(graph, witness, node, cfg)
+        verify_rcw(self.as_gnn(), graph, witness, cfg, caches)
     }
 
     /// Bounded search, restricted to `candidates`, for a disturbance that
@@ -148,7 +102,7 @@ pub trait VerifiableModel: GnnModel {
             }
             report.disturbances_checked += 1;
             for (i, &v) in test_nodes.iter().enumerate() {
-                let single = Witness::new(witness.subgraph.clone(), vec![v], vec![labels[i]]);
+                let single = witness.single_node(v, labels[i]);
                 let (ok, calls) = disturbance_preserves_cw(self.as_gnn(), graph, &single, &flips);
                 report.inference_calls += calls;
                 if !ok {
@@ -161,64 +115,28 @@ pub trait VerifiableModel: GnnModel {
     }
 }
 
-/// Routes the shared-cache verification of models on the model-agnostic
-/// strategy (their `verify_rcw` is the trait default) through the hood/PPR
-/// caches. Same verdict as the default `verify_rcw_shared`, cheaper warm.
-macro_rules! agnostic_verify_rcw_shared {
-    () => {
-        fn verify_rcw_shared(
-            &self,
-            graph: &Graph,
-            witness: &Witness,
-            cfg: &RcwConfig,
-            caches: &EngineCaches,
-        ) -> VerifyOutcome {
-            verify_rcw_with_caches(self.as_gnn(), graph, witness, cfg, caches)
-        }
-
-        fn verify_rcw_node_shared(
-            &self,
-            graph: &Graph,
-            witness: &Witness,
-            node: NodeId,
-            cfg: &RcwConfig,
-            caches: &EngineCaches,
-        ) -> VerifyOutcome {
-            let label = witness
-                .label_of(node)
-                .expect("verify_rcw_node_shared: node is not a test node of the witness");
-            let single = Witness::new(witness.subgraph.clone(), vec![node], vec![label]);
-            verify_rcw_with_caches(self.as_gnn(), graph, &single, cfg, caches)
-        }
-    };
-}
-
 impl<'m> VerifiableModel for dyn GnnModel + 'm {
     fn as_gnn(&self) -> &dyn GnnModel {
         self
     }
-    agnostic_verify_rcw_shared!();
 }
 
 impl VerifiableModel for Gcn {
     fn as_gnn(&self) -> &dyn GnnModel {
         self
     }
-    agnostic_verify_rcw_shared!();
 }
 
 impl VerifiableModel for GraphSage {
     fn as_gnn(&self) -> &dyn GnnModel {
         self
     }
-    agnostic_verify_rcw_shared!();
 }
 
 impl VerifiableModel for Gat {
     fn as_gnn(&self) -> &dyn GnnModel {
         self
     }
-    agnostic_verify_rcw_shared!();
 }
 
 impl VerifiableModel for Appnp {
@@ -227,41 +145,16 @@ impl VerifiableModel for Appnp {
     }
 
     /// Algorithm 1, `verifyRCW-APPNP`: tractable under (k, b)-disturbances.
-    fn verify_rcw(&self, graph: &Graph, witness: &Witness, cfg: &RcwConfig) -> VerifyOutcome {
-        verify_rcw_appnp(self, graph, witness, cfg)
-    }
-
-    fn verify_rcw_node(
-        &self,
-        graph: &Graph,
-        witness: &Witness,
-        node: NodeId,
-        cfg: &RcwConfig,
-    ) -> VerifyOutcome {
-        verify_rcw_appnp_node(self, graph, witness, node, cfg)
-    }
-
-    /// Engine path: candidate neighborhoods and PPR pruning rows come from
-    /// the shared cache tier; `H = f_theta(X)` comes from the model.
-    fn verify_rcw_shared(
+    /// Candidate neighborhoods and PPR pruning rows come from `caches`;
+    /// `H = f_theta(X)` comes from the model.
+    fn verify_rcw(
         &self,
         graph: &Graph,
         witness: &Witness,
         cfg: &RcwConfig,
         caches: &EngineCaches,
     ) -> VerifyOutcome {
-        verify_rcw_appnp_ctx(self, graph, witness, cfg, Some(caches))
-    }
-
-    fn verify_rcw_node_shared(
-        &self,
-        graph: &Graph,
-        witness: &Witness,
-        node: NodeId,
-        cfg: &RcwConfig,
-        caches: &EngineCaches,
-    ) -> VerifyOutcome {
-        verify_rcw_appnp_node_ctx(self, graph, witness, node, cfg, Some(caches))
+        verify_rcw_appnp(self, graph, witness, cfg, caches)
     }
 
     /// Greedy policy-iteration search (Procedure PRI) for the single worst
@@ -284,7 +177,7 @@ impl VerifiableModel for Appnp {
         }
         let mut scratch = KernelScratch::default();
         for (i, &v) in test_nodes.iter().enumerate() {
-            let single = Witness::new(witness.subgraph.clone(), vec![v], vec![labels[i]]);
+            let single = witness.single_node(v, labels[i]);
             let found = pri_check_node(self, graph, &single, candidates, cfg, &mut scratch);
             report.inference_calls += found.inference_calls;
             report.disturbances_checked += found.disturbances_checked;
@@ -360,28 +253,19 @@ mod tests {
         let (g, appnp, t) = setup();
         let w = ego_witness(&g, &appnp, t);
         let cfg = RcwConfig::with_budgets(2, 1);
+        let fresh = || EngineCaches::new(&cfg);
 
-        let via_trait = VerifiableModel::verify_rcw(&appnp, &g, &w, &cfg);
-        let tractable = verify_rcw_appnp(&appnp, &g, &w, &cfg);
+        let via_trait = VerifiableModel::verify_rcw(&appnp, &g, &w, &cfg, &fresh());
+        let tractable = verify_rcw_appnp(&appnp, &g, &w, &cfg, &fresh());
         assert_eq!(via_trait, tractable, "Appnp must use verify_rcw_appnp");
 
         let erased: &dyn GnnModel = &appnp;
-        let via_erased = VerifiableModel::verify_rcw(erased, &g, &w, &cfg);
-        let sampling = crate::verify::verify_rcw(&appnp, &g, &w, &cfg);
+        let via_erased = VerifiableModel::verify_rcw(erased, &g, &w, &cfg, &fresh());
+        let sampling = crate::verify::verify_rcw(&appnp, &g, &w, &cfg, &fresh());
         assert_eq!(
             via_erased, sampling,
             "a type-erased model must use the model-agnostic verifier"
         );
-    }
-
-    #[test]
-    fn per_node_dispatch_matches_the_appnp_verifier() {
-        let (g, appnp, t) = setup();
-        let w = ego_witness(&g, &appnp, t);
-        let cfg = RcwConfig::with_budgets(1, 1);
-        let via_trait = appnp.verify_rcw_node(&g, &w, t, &cfg);
-        let direct = verify_rcw_appnp_node(&appnp, &g, &w, t, &cfg);
-        assert_eq!(via_trait, direct);
     }
 
     #[test]
@@ -398,12 +282,14 @@ mod tests {
         assert_eq!(a.disturbances_checked, b.disturbances_checked);
     }
 
-    /// A downstream model that overrides *only* `verify_rcw` (the documented
-    /// extension point) must keep its strategy on the engine/session path.
+    /// A downstream model that overrides *only* `verify_rcw` (the one
+    /// extension point) keeps its verdict on every driver path: the engine,
+    /// the sequential driver, and the parallel per-node fan-out.
     #[test]
-    fn custom_verify_rcw_override_is_honored_by_the_shared_path() {
+    fn custom_verify_rcw_override_is_honored_on_every_driver_path() {
         use rcw_graph::ForwardCtx;
         use rcw_linalg::Matrix;
+        use std::sync::Arc;
 
         struct Custom<'a>(&'a Appnp);
         impl rcw_gnn::GnnModel for Custom<'_> {
@@ -424,10 +310,18 @@ mod tests {
             fn as_gnn(&self) -> &dyn rcw_gnn::GnnModel {
                 self
             }
-            fn verify_rcw(&self, _: &Graph, _: &Witness, _: &RcwConfig) -> VerifyOutcome {
-                // sentinel: an exact custom verifier with a recognizable count
+            fn verify_rcw(
+                &self,
+                _: &Graph,
+                witness: &Witness,
+                _: &RcwConfig,
+                _: &EngineCaches,
+            ) -> VerifyOutcome {
+                // sentinel: an exact custom verifier with a recognizable
+                // count, reporting how many test nodes it was handed
                 let mut out = VerifyOutcome::at_level(crate::WitnessLevel::Robust);
                 out.disturbances_checked = 4242;
+                out.inference_calls = witness.test_nodes.len();
                 out
             }
         }
@@ -435,55 +329,106 @@ mod tests {
         let (g, appnp, t) = setup();
         let w = ego_witness(&g, &appnp, t);
         let cfg = RcwConfig::with_budgets(1, 1);
-        let caches = crate::engine::EngineCaches::new(&cfg);
         let custom = Custom(&appnp);
-        let shared = custom.verify_rcw_shared(&g, &w, &cfg, &caches);
-        assert_eq!(
-            shared.disturbances_checked, 4242,
-            "verify_rcw_shared must dispatch to the custom verify_rcw"
-        );
-        let per_node = custom.verify_rcw_node_shared(&g, &w, t, &cfg, &caches);
-        assert_eq!(per_node.disturbances_checked, 4242);
 
-        // and a model overriding only the *per-node* extension point keeps
-        // its strategy on the parallel fan-out path
-        struct NodeCustom<'a>(&'a Appnp);
-        impl rcw_gnn::GnnModel for NodeCustom<'_> {
-            fn num_classes(&self) -> usize {
-                self.0.num_classes()
-            }
-            fn num_layers(&self) -> usize {
-                self.0.num_layers()
-            }
-            fn feature_dim(&self) -> usize {
-                self.0.feature_dim()
-            }
-            fn forward(&self, ctx: &ForwardCtx<'_>, x: &Matrix) -> Matrix {
-                self.0.forward(ctx, x)
-            }
-        }
-        impl VerifiableModel for NodeCustom<'_> {
-            fn as_gnn(&self) -> &dyn rcw_gnn::GnnModel {
-                self
-            }
-            fn verify_rcw_node(
-                &self,
-                _: &Graph,
-                _: &Witness,
-                _: NodeId,
-                _: &RcwConfig,
-            ) -> VerifyOutcome {
-                let mut out = VerifyOutcome::at_level(crate::WitnessLevel::Robust);
-                out.disturbances_checked = 77;
-                out
-            }
-        }
-        let node_custom = NodeCustom(&appnp);
-        let via_shared = node_custom.verify_rcw_node_shared(&g, &w, t, &cfg, &caches);
+        let engine = crate::WitnessEngine::new(Arc::new(g.clone()), &custom, cfg.clone());
+        assert_eq!(engine.verify(&w).disturbances_checked, 4242);
+        let driver = crate::RoboGExp::new(&custom, cfg.clone());
+        assert_eq!(driver.verify(&g, &w).disturbances_checked, 4242);
+
+        // 2 workers on a 2-node query: one custom call per one-node witness
+        let l0 = appnp.predict(0, &GraphView::full(&g)).unwrap();
+        let pair = Witness::new(w.subgraph.clone(), vec![t, 0], vec![w.labels[0], l0]);
+        let caches = EngineCaches::new(&cfg);
+        let fanned = crate::session::parallel_verify(&custom, &g, &pair, &cfg, 2, &caches);
+        assert_eq!(fanned.disturbances_checked, 2 * 4242);
         assert_eq!(
-            via_shared.disturbances_checked, 77,
-            "verify_rcw_node_shared must dispatch to the custom verify_rcw_node"
+            fanned.inference_calls, 2,
+            "each call sees a one-node witness"
         );
+        assert_eq!(fanned.level, crate::WitnessLevel::Robust);
+    }
+
+    /// One verdict however the caches are held: fresh caches, caches warmed
+    /// by earlier queries, `RoboGExp::verify` and `WitnessEngine::verify`
+    /// give equal outcomes for every served model family.
+    #[test]
+    fn verdicts_agree_across_fresh_and_warm_caches_and_drivers() {
+        use crate::{RoboGExp, WitnessEngine};
+        use rcw_graph::generators::{ensure_connected, stochastic_block_model};
+        use std::sync::Arc;
+
+        let (mut g, blocks) = stochastic_block_model(&[10, 10], 0.5, 0.05, 3);
+        ensure_connected(&mut g, 3);
+        let mut rng = Rng::seed_from_u64(3);
+        for (v, &b) in blocks.iter().enumerate() {
+            // weakly informative features, so labels lean on the edges
+            g.set_features(v, vec![0.4 + 0.2 * b as f64, rng.gen_f64()]);
+            g.set_label(v, b);
+        }
+        let g = Arc::new(g);
+        let view = GraphView::full(&g);
+        let train: Vec<usize> = (0..g.num_nodes()).collect();
+        let tc = TrainConfig {
+            epochs: 150,
+            learning_rate: 0.05,
+            ..TrainConfig::default()
+        };
+        let mut gcn = Gcn::new(&[2, 8, 2], 5);
+        gcn.train(&view, &train, &tc);
+        let mut appnp = Appnp::new(&[2, 8, 2], 0.2, 10, 9);
+        appnp.train(&view, &train, &tc);
+        // a small pool cap so the PPR pruning rows are read from the caches
+        let cfg = RcwConfig {
+            k: 2,
+            local_budget: 1,
+            exhaustive_limit: 12,
+            sampled_disturbances: 6,
+            max_candidate_pairs: 10,
+            ..RcwConfig::default()
+        };
+        let mut queries: Vec<Vec<NodeId>> = (0..20).map(|v| vec![v]).collect();
+        queries.extend([vec![2, 17], vec![19, 4]]);
+
+        fn parity<M: VerifiableModel>(
+            model: &M,
+            g: &Arc<Graph>,
+            cfg: &RcwConfig,
+            queries: &[Vec<NodeId>],
+        ) {
+            let driver = RoboGExp::new(model, cfg.clone());
+            let engine = WitnessEngine::new(Arc::clone(g), model, cfg.clone());
+            let warm = EngineCaches::new(cfg);
+            let witnesses: Vec<Witness> = queries
+                .iter()
+                .map(|q| {
+                    engine.generate(q);
+                    let w = driver.generate(g, q).witness;
+                    model.verify_rcw(g, &w, cfg, &warm);
+                    w
+                })
+                .collect();
+            assert!(
+                warm.hood_stats().1 > 0,
+                "no verdict reached the robustness phase"
+            );
+            for w in &witnesses {
+                let fresh = model.verify_rcw(g, w, cfg, &EngineCaches::new(cfg));
+                assert_eq!(fresh, model.verify_rcw(g, w, cfg, &warm), "{w:?}");
+                assert_eq!(fresh, driver.verify(g, w), "{w:?}");
+                assert_eq!(fresh, engine.verify(w), "{w:?}");
+            }
+            assert!(
+                warm.hood_stats().0 > 0,
+                "the second pass hit the warm caches"
+            );
+            assert!(warm.ppr().stats().1 > 0, "the pool cap never pruned");
+        }
+
+        parity(&gcn, &g, &cfg, &queries);
+        parity(&appnp, &g, &cfg, &queries);
+        parity(&GraphSage::new(&[2, 8, 2], 9), &g, &cfg, &queries);
+        parity(&Gat::new(&[2, 8, 2], 1), &g, &cfg, &queries);
     }
 
     #[test]

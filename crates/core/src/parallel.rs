@@ -28,7 +28,8 @@ use rcw_gnn::{Appnp, GnnModel};
 use rcw_graph::{Graph, NodeId};
 use std::time::Duration;
 
-/// Parallel-execution statistics, complementing [`GenerationStats`].
+/// Parallel-execution statistics, complementing
+/// [`GenerationStats`](crate::GenerationStats).
 #[derive(Clone, Debug, Default)]
 pub struct ParallelStats {
     /// Number of workers used.
@@ -58,7 +59,7 @@ pub struct ParallelGenerationResult {
 /// model's verification strategy; `M` is usually inferred from the
 /// constructor.
 ///
-/// A thin wrapper over [`crate::session`]: the driver owns a private
+/// A thin wrapper over the shared session code: the driver owns a private
 /// [`EngineCaches`] instance, so the edge-cut partition and the test nodes'
 /// k-hop neighborhoods are computed once and reused across *calls* (keyed by
 /// the graph's mutation epoch), not just across expand–verify rounds.

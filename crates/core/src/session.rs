@@ -27,7 +27,6 @@ use rcw_graph::{
     traversal::k_hop_neighborhood, AdjacencyBitmap, Edge, EdgeSubgraph, Graph, GraphView, NodeId,
     VerifiedPairBitmap,
 };
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A cooperative cancellation hook for expand–verify sessions.
@@ -206,7 +205,7 @@ pub(crate) fn run_sequential<M: VerifiableModel + ?Sized>(
     for round in 0..cfg.max_expand_rounds {
         budget.check()?;
         stats.expand_rounds = round + 1;
-        let outcome = model.verify_rcw_shared(graph, &witness, cfg, caches);
+        let outcome = model.verify_rcw(graph, &witness, cfg, caches);
         stats.inference_calls += outcome.inference_calls;
         stats.disturbances_verified += outcome.disturbances_checked;
         level = outcome.level;
@@ -477,28 +476,26 @@ pub(crate) fn run_parallel<M: VerifiableModel + ?Sized>(
     // Phase 1 (paraExpand): factual / counterfactual bootstrap of every
     // test node, distributed across the workers — each worker runs a
     // sequential session for its chunk of test nodes, the coordinator unions
-    // the partial witnesses (the test nodes' expansions are independent).
+    // the partial witnesses (the test nodes' expansions are independent) in
+    // chunk order.
     let chunk = test_nodes.len().div_ceil(num_workers);
-    type Partial = Result<(EdgeSubgraph, usize), BudgetExceeded>;
-    let partial: Mutex<Vec<Partial>> = Mutex::new(Vec::new());
     let boot_start = Instant::now();
-    std::thread::scope(|scope| {
-        for nodes in test_nodes.chunks(chunk.max(1)) {
-            let cfg = bootstrap_config(cfg);
-            let partial_ref = &partial;
-            scope.spawn(move || {
-                let outcome = run_sequential(model, graph, caches, &cfg, nodes, seed, budget)
-                    .map(|result| (result.witness.subgraph, result.stats.inference_calls));
-                partial_ref
-                    .lock()
-                    .expect("bootstrap mutex poisoned")
-                    .push(outcome);
-            });
-        }
+    let partial = std::thread::scope(|scope| {
+        let handles: Vec<_> = test_nodes
+            .chunks(chunk.max(1))
+            .map(|nodes| {
+                let cfg = bootstrap_config(cfg);
+                scope.spawn(move || {
+                    run_sequential(model, graph, caches, &cfg, nodes, seed, budget)
+                        .map(|result| (result.witness.subgraph, result.stats.inference_calls))
+                })
+            })
+            .collect();
+        join_in_order(handles)
     });
     pstats.parallel_time += boot_start.elapsed();
     let mut merged = EdgeSubgraph::from_nodes(test_nodes.iter().copied());
-    for outcome in partial.into_inner().expect("bootstrap mutex poisoned") {
+    for outcome in partial {
         let (sub, calls) = outcome?;
         merged.extend(&sub);
         stats.inference_calls += calls;
@@ -568,40 +565,39 @@ pub(crate) fn run_parallel<M: VerifiableModel + ?Sized>(
             })
             .collect();
 
-        let reports = Mutex::new(Vec::<crate::model::DisturbanceSearch>::new());
         let par_start = Instant::now();
-        std::thread::scope(|scope| {
-            for (wid, cands) in per_worker.iter().enumerate() {
-                let witness_ref = &witness;
-                let reports_ref = &reports;
-                let (own_nodes, own_labels) = &nodes_per_worker[wid];
-                scope.spawn(move || {
-                    let report = model.search_disturbance(
-                        graph,
-                        witness_ref,
-                        own_nodes,
-                        own_labels,
-                        cands,
-                        cfg,
-                        wid as u64,
-                    );
-                    reports_ref
-                        .lock()
-                        .expect("worker mutex poisoned")
-                        .push(report);
-                });
-            }
+        let reports = std::thread::scope(|scope| {
+            let handles: Vec<_> = per_worker
+                .iter()
+                .enumerate()
+                .map(|(wid, cands)| {
+                    let witness_ref = &witness;
+                    let (own_nodes, own_labels) = &nodes_per_worker[wid];
+                    scope.spawn(move || {
+                        model.search_disturbance(
+                            graph,
+                            witness_ref,
+                            own_nodes,
+                            own_labels,
+                            cands,
+                            cfg,
+                            wid as u64,
+                        )
+                    })
+                })
+                .collect();
+            join_in_order(handles)
         });
         pstats.parallel_time += par_start.elapsed();
 
         // Synchronize: mark every candidate pair handed to a worker as
-        // examined, merge the reports, collect counterexamples.
+        // examined, merge the reports in worker order, collect
+        // counterexamples.
         for cands in &per_worker {
             for &(u, v) in cands {
                 verified_pairs.mark(u, v);
             }
         }
-        let reports = reports.into_inner().expect("worker mutex poisoned");
         let mut any_counterexample = false;
         let mut grew = false;
         for report in reports {
@@ -665,9 +661,11 @@ pub(crate) fn run_parallel<M: VerifiableModel + ?Sized>(
 }
 
 /// Coordinator verification fanned out over worker threads: each worker
-/// verifies a chunk of test nodes with the model's per-node verifier; the
-/// coordinator keeps the weakest level and the first counterexample (Lemma 6
-/// makes any locally found counterexample globally valid).
+/// verifies a chunk of test nodes, one [`VerifiableModel::verify_rcw`] call
+/// on a one-node witness each. The coordinator merges the outcomes in
+/// test-node order, keeping the weakest level and the first counterexample
+/// (Lemma 6 makes any locally found counterexample globally valid), so the
+/// verdict does not depend on which thread finishes first.
 pub(crate) fn parallel_verify<M: VerifiableModel + ?Sized>(
     model: &M,
     graph: &Graph,
@@ -676,28 +674,30 @@ pub(crate) fn parallel_verify<M: VerifiableModel + ?Sized>(
     num_workers: usize,
     caches: &EngineCaches,
 ) -> VerifyOutcome {
-    let nodes = witness.test_nodes.clone();
+    let nodes = &witness.test_nodes;
     if nodes.len() <= 1 || num_workers <= 1 {
-        return model.verify_rcw_shared(graph, witness, cfg, caches);
+        return model.verify_rcw(graph, witness, cfg, caches);
     }
     let chunk = nodes.len().div_ceil(num_workers);
-    let outcomes: Mutex<Vec<VerifyOutcome>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for part in nodes.chunks(chunk.max(1)) {
-            let outcomes_ref = &outcomes;
-            scope.spawn(move || {
-                for &v in part {
-                    let out = model.verify_rcw_node_shared(graph, witness, v, cfg, caches);
-                    outcomes_ref
-                        .lock()
-                        .expect("verify mutex poisoned")
-                        .push(out);
-                }
-            });
-        }
+    let per_chunk = std::thread::scope(|scope| {
+        let handles: Vec<_> = nodes
+            .chunks(chunk)
+            .zip(witness.labels.chunks(chunk))
+            .map(|(part, labels)| {
+                scope.spawn(move || {
+                    part.iter()
+                        .zip(labels)
+                        .map(|(&v, &label)| {
+                            model.verify_rcw(graph, &witness.single_node(v, label), cfg, caches)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        join_in_order(handles)
     });
     let mut merged = VerifyOutcome::at_level(WitnessLevel::Robust);
-    for out in outcomes.into_inner().expect("verify mutex poisoned") {
+    for out in per_chunk.into_iter().flatten() {
         merged.inference_calls += out.inference_calls;
         merged.disturbances_checked += out.disturbances_checked;
         if out.level.rank() < merged.level.rank() {
@@ -710,11 +710,103 @@ pub(crate) fn parallel_verify<M: VerifiableModel + ?Sized>(
     merged
 }
 
+/// Joins scoped worker threads in spawn order, so every coordinator merge is
+/// a function of the inputs rather than of thread timing. A worker panic is
+/// re-raised on the coordinator.
+fn join_in_order<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    handles
+        .into_iter()
+        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        .collect()
+}
+
 /// The bootstrap (phase 1) reuses the sequential session but with zero
 /// robustness rounds — robustness is handled by the parallel loop.
 fn bootstrap_config(cfg: &RcwConfig) -> RcwConfig {
     RcwConfig {
         max_expand_rounds: 1,
         ..cfg.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rcw_gnn::Gcn;
+    use rcw_graph::{EdgeSet, ForwardCtx};
+    use rcw_linalg::Matrix;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Mutex;
+
+    /// A model whose verifier finishes node `a` only after every other node
+    /// has finished, each node returning its own counterexample.
+    struct SlowOnA {
+        inner: Gcn,
+        a: NodeId,
+        others_done: (Sender<()>, Mutex<Receiver<()>>),
+    }
+
+    impl GnnModel for SlowOnA {
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+        fn num_layers(&self) -> usize {
+            self.inner.num_layers()
+        }
+        fn feature_dim(&self) -> usize {
+            self.inner.feature_dim()
+        }
+        fn forward(&self, ctx: &ForwardCtx<'_>, x: &Matrix) -> Matrix {
+            self.inner.forward(ctx, x)
+        }
+    }
+
+    impl VerifiableModel for SlowOnA {
+        fn as_gnn(&self) -> &dyn GnnModel {
+            self
+        }
+        fn verify_rcw(
+            &self,
+            _: &Graph,
+            witness: &Witness,
+            _: &RcwConfig,
+            _: &EngineCaches,
+        ) -> VerifyOutcome {
+            let v = witness.test_nodes[0];
+            if v == self.a {
+                // Wait for the other node's verdict, then give its thread
+                // time to hand the verdict over before this one returns.
+                let done = self.others_done.1.lock().expect("receiver lock");
+                let _ = done.recv_timeout(Duration::from_secs(5));
+                std::thread::sleep(Duration::from_millis(50));
+            } else {
+                let _ = self.others_done.0.send(());
+            }
+            let mut out = VerifyOutcome::at_level(WitnessLevel::Counterfactual);
+            out.counterexample = Some([(v, v + 10)].into_iter().collect::<EdgeSet>());
+            out
+        }
+    }
+
+    /// The coordinator merges per-node verdicts in test-node order: the
+    /// first counterexample is `a`'s even though `b`'s thread finishes
+    /// first. (Merging in finishing order would keep `b`'s.)
+    #[test]
+    fn parallel_verify_merges_in_test_node_order() {
+        let graph = Graph::with_nodes(16);
+        let (a, b) = (1, 2);
+        let (tx, rx) = channel();
+        let model = SlowOnA {
+            inner: Gcn::new(&[2, 4, 2], 1),
+            a,
+            others_done: (tx, Mutex::new(rx)),
+        };
+        let witness = Witness::trivial_nodes(vec![a, b], vec![0, 0]);
+        let cfg = RcwConfig::with_budgets(1, 1);
+        let caches = EngineCaches::new(&cfg);
+        let merged = parallel_verify(&model, &graph, &witness, &cfg, 2, &caches);
+        assert_eq!(merged.level, WitnessLevel::Counterfactual);
+        let expected: EdgeSet = [(a, a + 10)].into_iter().collect();
+        assert_eq!(merged.counterexample, Some(expected));
     }
 }

@@ -4,13 +4,15 @@
 //! * `verifyW` (Lemma 2) and `verifyCW` (Lemma 3) are PTIME: they are one and
 //!   two inference calls per test node respectively.
 //! * k-RCW verification is NP-hard in general (Theorem 1). The model-agnostic
-//!   verifier in this module therefore either enumerates all admissible
-//!   disturbances (small candidate sets — exact) or samples a configurable
-//!   number of random (k, b)-disturbances (large candidate sets — a sound
-//!   "no" / probabilistic "yes"). The tractable APPNP-specific verifier lives
-//!   in [`crate::verify_appnp`].
+//!   [`verify_rcw`] therefore either enumerates all admissible disturbances
+//!   (small candidate sets — exact) or samples a configurable number of
+//!   random (k, b)-disturbances (large candidate sets — a sound "no" /
+//!   probabilistic "yes"). It always runs over an [`EngineCaches`] tier; a
+//!   fresh one gives the same verdict as a warm one. The tractable
+//!   APPNP-specific verifier lives in [`crate::verify_appnp`].
 
 use crate::config::RcwConfig;
+use crate::engine::EngineCaches;
 use crate::witness::{VerifyOutcome, Witness, WitnessLevel};
 use rcw_gnn::{GnnModel, KernelScratch};
 use rcw_graph::{
@@ -28,19 +30,8 @@ pub const PRUNE_ALPHA: f64 = 0.2;
 /// Collects the node pairs an adversary may flip: existing edges near the test
 /// nodes that are not protected by the witness, plus (depending on the
 /// strategy) a bounded number of insertion candidates incident to the test
-/// nodes.
-pub fn candidate_pairs(
-    graph: &Graph,
-    protected: &EdgeSet,
-    test_nodes: &[rcw_graph::NodeId],
-    cfg: &RcwConfig,
-) -> Vec<Edge> {
-    candidate_pairs_cached(graph, protected, test_nodes, cfg, None)
-}
-
-/// [`candidate_pairs`] threading an optional shared PPR-row cache into the
-/// top-m pruning (engine sessions pass theirs so repeated queries over the
-/// same test nodes reuse the rows).
+/// nodes. An optional shared PPR-row cache feeds the top-m pruning; `None`
+/// computes the rows into a throwaway cache.
 pub fn candidate_pairs_cached(
     graph: &Graph,
     protected: &EdgeSet,
@@ -50,21 +41,6 @@ pub fn candidate_pairs_cached(
 ) -> Vec<Edge> {
     let hood = k_hop_neighborhood_multi(graph, test_nodes, cfg.candidate_hops);
     candidate_pairs_bounded(graph, protected, test_nodes, &hood, cfg, ppr)
-}
-
-/// [`candidate_pairs`] with a precomputed k-hop neighborhood of the test
-/// nodes. The neighborhood depends only on the host graph, the test nodes and
-/// `cfg.candidate_hops` — none of which change within a generation run — so
-/// drivers compute it once and reuse it across expand–verify rounds; only the
-/// `protected` filter varies per round.
-pub fn candidate_pairs_in_hood(
-    graph: &Graph,
-    protected: &EdgeSet,
-    test_nodes: &[rcw_graph::NodeId],
-    hood: &std::collections::BTreeSet<rcw_graph::NodeId>,
-    cfg: &RcwConfig,
-) -> Vec<Edge> {
-    candidate_pairs_bounded(graph, protected, test_nodes, hood, cfg, None)
 }
 
 /// The full candidate-pair pipeline: collect pairs inside the precomputed
@@ -110,6 +86,26 @@ pub fn candidate_pairs_bounded(
         return out;
     }
     top_m_by_ppr(graph, out, test_nodes, cfg, ppr)
+}
+
+/// The pairs an adversary may flip against `witness`: the candidate pool
+/// around its test nodes, minus its own edges, with the neighborhood and the
+/// pruning rows read from `caches`.
+pub(crate) fn witness_candidates(
+    graph: &Graph,
+    witness: &Witness,
+    cfg: &RcwConfig,
+    caches: &EngineCaches,
+) -> Vec<Edge> {
+    let hood = caches.hood(graph, &witness.test_nodes, cfg.candidate_hops);
+    candidate_pairs_bounded(
+        graph,
+        witness.edges(),
+        &witness.test_nodes,
+        &hood,
+        cfg,
+        Some(caches.ppr()),
+    )
 }
 
 /// Keeps the `cfg.max_candidate_pairs` pairs carrying the most PPR mass from
@@ -269,61 +265,16 @@ pub(crate) fn disturbance_preserves_cw_with(
 /// disturbance of size `1..=k` respecting the local budget is enumerated and
 /// the verdict is exact. Otherwise `cfg.sampled_disturbances` random
 /// (k, b)-disturbances are tested: a returned counterexample is always sound,
-/// while a "robust" verdict is probabilistic.
+/// while a "robust" verdict is probabilistic. The candidate neighborhood
+/// comes from the hood cache and the pruning rows from the PPR cache, so
+/// steady-state re-verification pays neither BFS nor PPR; the pool is built
+/// only once the factual / counterfactual early exits have passed.
 pub fn verify_rcw(
     model: &dyn GnnModel,
     graph: &Graph,
     witness: &Witness,
     cfg: &RcwConfig,
-) -> VerifyOutcome {
-    verify_rcw_cached(model, graph, witness, cfg, None)
-}
-
-/// [`verify_rcw`] threading an optional shared PPR-row cache into the
-/// candidate-pair bounding.
-pub fn verify_rcw_cached(
-    model: &dyn GnnModel,
-    graph: &Graph,
-    witness: &Witness,
-    cfg: &RcwConfig,
-    ppr: Option<&PprCache>,
-) -> VerifyOutcome {
-    verify_rcw_impl(model, graph, witness, cfg, || {
-        candidate_pairs_cached(graph, witness.edges(), &witness.test_nodes, cfg, ppr)
-    })
-}
-
-/// [`verify_rcw`] over an engine's full shared tier: the candidate
-/// neighborhood comes from the hood cache and the pruning rows from the PPR
-/// cache, so steady-state re-verification pays neither BFS nor PPR.
-pub(crate) fn verify_rcw_with_caches(
-    model: &dyn GnnModel,
-    graph: &Graph,
-    witness: &Witness,
-    cfg: &RcwConfig,
-    caches: &crate::engine::EngineCaches,
-) -> VerifyOutcome {
-    verify_rcw_impl(model, graph, witness, cfg, || {
-        let hood = caches.hood(graph, &witness.test_nodes, cfg.candidate_hops);
-        candidate_pairs_bounded(
-            graph,
-            witness.edges(),
-            &witness.test_nodes,
-            &hood,
-            cfg,
-            Some(caches.ppr()),
-        )
-    })
-}
-
-/// The shared `verifyRCW` body; `candidates_fn` supplies the pool lazily so
-/// the factual / counterfactual early exits never pay for it.
-fn verify_rcw_impl(
-    model: &dyn GnnModel,
-    graph: &Graph,
-    witness: &Witness,
-    cfg: &RcwConfig,
-    candidates_fn: impl FnOnce() -> Vec<Edge>,
+    caches: &EngineCaches,
 ) -> VerifyOutcome {
     cfg.validate().expect("invalid RcwConfig");
     // One scratch for the whole verification: every localized predict below
@@ -357,7 +308,7 @@ fn verify_rcw_impl(
         };
     }
 
-    let candidates = candidates_fn();
+    let candidates = witness_candidates(graph, witness, cfg, caches);
     let mut checked = 0usize;
 
     let disturbances: Vec<EdgeSet> = if candidates.len() <= cfg.exhaustive_limit {
@@ -516,7 +467,7 @@ mod tests {
         let (g, gcn, t) = setup();
         let bad = witness_for(&g, &gcn, t, &[(6, 7)]); // unrelated edge far from t
         let cfg = RcwConfig::with_budgets(2, 1);
-        let out = verify_rcw(&gcn, &g, &bad, &cfg);
+        let out = verify_rcw(&gcn, &g, &bad, &cfg, &EngineCaches::new(&cfg));
         // an edge unrelated to t can never be counterfactual: removing it
         // from G cannot flip t's label
         assert!(!out.is_counterfactual(), "unexpected level {:?}", out.level);
@@ -527,7 +478,7 @@ mod tests {
             t,
             &[(t, 0), (t, 1), (t, 2), (0, 1), (0, 2), (1, 2)],
         );
-        let out = verify_rcw(&gcn, &g, &ego, &cfg);
+        let out = verify_rcw(&gcn, &g, &ego, &cfg, &EngineCaches::new(&cfg));
         assert!(out.is_factual());
         assert!(out.inference_calls > 0);
     }
@@ -537,7 +488,7 @@ mod tests {
         let (g, gcn, t) = setup();
         let w = witness_for(&g, &gcn, t, &[(t, 0), (t, 1), (t, 2)]);
         let cfg = RcwConfig::with_budgets(0, 0);
-        let out = verify_rcw(&gcn, &g, &w, &cfg);
+        let out = verify_rcw(&gcn, &g, &w, &cfg, &EngineCaches::new(&cfg));
         assert_eq!(out.disturbances_checked, 0);
         if out.is_counterfactual() {
             assert_eq!(out.level, WitnessLevel::Robust, "k=0 robustness == CW");
@@ -549,7 +500,7 @@ mod tests {
         let (g, _gcn, t) = setup();
         let protected: EdgeSet = [(t, 0usize)].into_iter().collect();
         let cfg = RcwConfig::with_budgets(3, 1);
-        let cands = candidate_pairs(&g, &protected, &[t], &cfg);
+        let cands = candidate_pairs_cached(&g, &protected, &[t], &cfg, None);
         assert!(!cands.contains(&rcw_graph::norm_edge(t, 0)));
         assert!(!cands.is_empty());
         // all candidates are real edges under RemovalOnly
@@ -560,7 +511,7 @@ mod tests {
     fn candidate_pairs_can_include_insertions() {
         let (g, _gcn, t) = setup();
         let cfg = RcwConfig::with_budgets(3, 1).with_strategy(DisturbanceStrategy::Mixed);
-        let cands = candidate_pairs(&g, &EdgeSet::new(), &[t], &cfg);
+        let cands = candidate_pairs_cached(&g, &EdgeSet::new(), &[t], &cfg, None);
         let insertions = cands.iter().filter(|&&(u, v)| !g.has_edge(u, v)).count();
         assert!(insertions > 0);
         assert!(insertions <= cfg.max_insert_candidates);
@@ -571,10 +522,10 @@ mod tests {
         // dense double-clique: the unbounded pool is far larger than m
         let (g, _gcn, t) = setup();
         let cfg = RcwConfig::with_budgets(2, 1);
-        let unbounded = candidate_pairs(&g, &EdgeSet::new(), &[t], &cfg);
+        let unbounded = candidate_pairs_cached(&g, &EdgeSet::new(), &[t], &cfg, None);
         assert!(unbounded.len() > 8, "setup graph must be dense enough");
         let bounded_cfg = cfg.clone().with_max_candidate_pairs(8);
-        let bounded = candidate_pairs(&g, &EdgeSet::new(), &[t], &bounded_cfg);
+        let bounded = candidate_pairs_cached(&g, &EdgeSet::new(), &[t], &bounded_cfg, None);
         assert_eq!(bounded.len(), 8);
         assert!(bounded.iter().all(|e| unbounded.contains(e)));
         // deterministic, and identical with or without a shared cache
@@ -650,15 +601,15 @@ mod tests {
                 continue;
             }
             let witness = result.witness;
-            let alone = verify_rcw(&gcn, &g, &witness, &cfg);
-            let beside = verify_rcw(&gcn, &padded, &witness, &cfg);
+            let alone = verify_rcw(&gcn, &g, &witness, &cfg, &EngineCaches::new(&cfg));
+            let beside = verify_rcw(&gcn, &padded, &witness, &cfg, &EngineCaches::new(&cfg));
             assert_eq!(alone.level, beside.level, "node {t}");
             assert_eq!(
                 alone.disturbances_checked, beside.disturbances_checked,
                 "node {t}"
             );
             assert_eq!(alone.counterexample, beside.counterexample, "node {t}");
-            let pool = candidate_pairs(&g, witness.edges(), &[t], &cfg);
+            let pool = candidate_pairs_cached(&g, witness.edges(), &[t], &cfg, None);
             if pool.len() > cfg.exhaustive_limit && alone.disturbances_checked > 0 {
                 sampled += 1;
             }
@@ -684,7 +635,7 @@ mod tests {
             candidate_hops: 1,
             ..RcwConfig::default()
         };
-        let out = verify_rcw(&gcn, &g, &w, &cfg);
+        let out = verify_rcw(&gcn, &g, &w, &cfg, &EngineCaches::new(&cfg));
         if out.level == WitnessLevel::Robust {
             // If it is robust even then, the counterexample machinery never
             // fired; the disturbance count must still be positive.

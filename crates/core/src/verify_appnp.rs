@@ -11,71 +11,36 @@
 //!
 //! `H = f_theta(X)` comes from the model itself ([`Appnp::local_logits`],
 //! cached per feature epoch), the same rows its localized inference reads.
-//! One [`KernelScratch`] is threaded through every inference call of a
-//! verification.
+//! Candidate neighborhoods and PPR pruning rows come from an
+//! [`EngineCaches`] tier. One [`KernelScratch`] is threaded through every
+//! inference call of a verification. There is one entry point,
+//! [`verify_rcw_appnp`]; on a one-node witness it is the per-node check
+//! paraRoboGExp fans out.
 
 use crate::config::RcwConfig;
 use crate::engine::EngineCaches;
 use crate::model::DisturbanceSearch;
 use crate::verify::{
-    candidate_pairs, candidate_pairs_bounded, disturbance_preserves_cw_with,
-    verify_counterfactual_with, verify_factual_with,
+    disturbance_preserves_cw_with, verify_counterfactual_with, verify_factual_with,
+    witness_candidates,
 };
 use crate::witness::{VerifyOutcome, Witness, WitnessLevel};
 use rcw_gnn::{Appnp, GnnModel, KernelScratch};
-use rcw_graph::{Edge, EdgeSet, Graph, GraphView, NodeId};
+use rcw_graph::{Edge, EdgeSet, Graph, GraphView};
 use rcw_pagerank::{pri_search, truncate_to_k, PriConfig};
 
-/// Verifies that `witness` is a k-RCW for a *single* test node under
-/// (k, b)-disturbances, using the APPNP-specific policy-iteration search.
-pub fn verify_rcw_appnp_node(
-    appnp: &Appnp,
-    graph: &Graph,
-    witness: &Witness,
-    node: NodeId,
-    cfg: &RcwConfig,
-) -> VerifyOutcome {
-    verify_rcw_appnp_node_ctx(appnp, graph, witness, node, cfg, None)
-}
-
-/// [`verify_rcw_appnp_node`] over an engine's shared cache tier (k-hop
-/// neighborhoods, PPR rows for candidate pruning). Bit-identical to the
-/// standalone entry point — the caches only remove recomputation.
-pub fn verify_rcw_appnp_node_ctx(
-    appnp: &Appnp,
-    graph: &Graph,
-    witness: &Witness,
-    node: NodeId,
-    cfg: &RcwConfig,
-    caches: Option<&EngineCaches>,
-) -> VerifyOutcome {
-    verify_node_with(
-        appnp,
-        graph,
-        witness,
-        node,
-        cfg,
-        caches,
-        &mut KernelScratch::default(),
-    )
-}
-
-/// The per-node verifier body over caller-provided kernel scratch buffers.
+/// Verifies the one test node of `single` under (k, b)-disturbances, using
+/// the APPNP-specific policy-iteration search, over caller-provided kernel
+/// scratch buffers.
 fn verify_node_with(
     appnp: &Appnp,
     graph: &Graph,
-    witness: &Witness,
-    node: NodeId,
+    single: &Witness,
     cfg: &RcwConfig,
-    caches: Option<&EngineCaches>,
+    caches: &EngineCaches,
     scratch: &mut KernelScratch,
 ) -> VerifyOutcome {
-    let label = witness
-        .label_of(node)
-        .expect("verify_rcw_appnp_node: node is not a test node of the witness");
-    let single = Witness::new(witness.subgraph.clone(), vec![node], vec![label]);
-
-    let (factual, calls_f) = verify_factual_with(appnp, graph, &single, scratch);
+    let (factual, calls_f) = verify_factual_with(appnp, graph, single, scratch);
     if !factual {
         return VerifyOutcome {
             level: WitnessLevel::NotAWitness,
@@ -84,7 +49,7 @@ fn verify_node_with(
             disturbances_checked: 0,
         };
     }
-    let (cw, calls_cw) = verify_counterfactual_with(appnp, graph, &single, scratch);
+    let (cw, calls_cw) = verify_counterfactual_with(appnp, graph, single, scratch);
     let calls = calls_f + calls_cw;
     if !cw {
         return VerifyOutcome {
@@ -103,21 +68,8 @@ fn verify_node_with(
         };
     }
 
-    let candidates = match caches {
-        Some(caches) => {
-            let hood = caches.hood(graph, &[node], cfg.candidate_hops);
-            candidate_pairs_bounded(
-                graph,
-                witness.edges(),
-                &[node],
-                &hood,
-                cfg,
-                Some(caches.ppr()),
-            )
-        }
-        None => candidate_pairs(graph, witness.edges(), &[node], cfg),
-    };
-    let search = pri_check_node(appnp, graph, &single, &candidates, cfg, scratch);
+    let candidates = witness_candidates(graph, single, cfg, caches);
+    let search = pri_check_node(appnp, graph, single, &candidates, cfg, scratch);
     VerifyOutcome {
         level: if search.counterexample.is_some() {
             WitnessLevel::Counterfactual
@@ -183,34 +135,25 @@ pub(crate) fn pri_check_node(
     report
 }
 
-/// Verifies a witness against *all* of its test nodes (the configuration's
-/// `VT`), returning the weakest per-node outcome together with the first
+/// `verifyRCW-APPNP`: verifies a witness against *all* of its test nodes
+/// (the configuration's `VT`), one per-node check each over a shared kernel
+/// scratch, returning the weakest per-node outcome together with the first
 /// counterexample found.
 pub fn verify_rcw_appnp(
     appnp: &Appnp,
     graph: &Graph,
     witness: &Witness,
     cfg: &RcwConfig,
-) -> VerifyOutcome {
-    verify_rcw_appnp_ctx(appnp, graph, witness, cfg, None)
-}
-
-/// [`verify_rcw_appnp`] over an engine's shared cache tier; one kernel
-/// scratch serves every test node.
-pub fn verify_rcw_appnp_ctx(
-    appnp: &Appnp,
-    graph: &Graph,
-    witness: &Witness,
-    cfg: &RcwConfig,
-    caches: Option<&EngineCaches>,
+    caches: &EngineCaches,
 ) -> VerifyOutcome {
     let mut scratch = KernelScratch::default();
     let mut total_calls = 0usize;
     let mut total_checked = 0usize;
     let mut weakest = WitnessLevel::Robust;
     let mut counterexample = None;
-    for &v in &witness.test_nodes {
-        let out = verify_node_with(appnp, graph, witness, v, cfg, caches, &mut scratch);
+    for (i, &v) in witness.test_nodes.iter().enumerate() {
+        let single = witness.single_node(v, witness.labels[i]);
+        let out = verify_node_with(appnp, graph, &single, cfg, caches, &mut scratch);
         total_calls += out.inference_calls;
         total_checked += out.disturbances_checked;
         if out.level.rank() < weakest.rank() {
@@ -282,6 +225,11 @@ mod tests {
         (g, appnp, t)
     }
 
+    /// One verification over fresh caches.
+    fn verify(appnp: &Appnp, g: &Graph, w: &Witness, cfg: &RcwConfig) -> VerifyOutcome {
+        verify_rcw_appnp(appnp, g, w, cfg, &EngineCaches::new(cfg))
+    }
+
     fn witness_of(g: &Graph, m: &Appnp, t: usize, edges: &[(usize, usize)]) -> Witness {
         let l = m.predict(t, &GraphView::full(g)).unwrap();
         Witness::new(
@@ -295,7 +243,7 @@ mod tests {
     fn non_factual_witness_is_rejected_early() {
         let (g, appnp, t) = setup();
         let w = witness_of(&g, &appnp, t, &[(8, 9)]);
-        let out = verify_rcw_appnp_node(&appnp, &g, &w, t, &RcwConfig::with_budgets(2, 1));
+        let out = verify(&appnp, &g, &w, &RcwConfig::with_budgets(2, 1));
         // an edge inside the other community cannot be a counterfactual
         // witness for t; the verifier must stop before the robustness phase
         assert!(!out.is_counterfactual(), "unexpected level {:?}", out.level);
@@ -312,7 +260,7 @@ mod tests {
             &[(t, 0), (t, 1), (t, 2), (0, 1), (0, 2), (1, 2)],
         );
         let cfg = RcwConfig::with_budgets(1, 1);
-        let out = verify_rcw_appnp_node(&appnp, &g, &w, t, &cfg);
+        let out = verify(&appnp, &g, &w, &cfg);
         assert!(
             out.is_counterfactual() || out.level == WitnessLevel::Factual,
             "a witness containing all of t's class-0 support should be at least factual, got {:?}",
@@ -325,7 +273,7 @@ mod tests {
         let (g, appnp, t) = setup();
         let w = witness_of(&g, &appnp, t, &[(t, 0), (t, 1), (t, 2)]);
         let cfg = RcwConfig::with_budgets(2, 1);
-        let out = verify_rcw_appnp_node(&appnp, &g, &w, t, &cfg);
+        let out = verify(&appnp, &g, &w, &cfg);
         assert!(out.inference_calls >= 2);
         if out.is_counterfactual() {
             // robustness analysis ran for the competitor class
@@ -337,7 +285,7 @@ mod tests {
     fn k_zero_is_equivalent_to_cw() {
         let (g, appnp, t) = setup();
         let w = witness_of(&g, &appnp, t, &[(t, 0), (t, 1), (t, 2)]);
-        let out = verify_rcw_appnp_node(&appnp, &g, &w, t, &RcwConfig::with_budgets(0, 0));
+        let out = verify(&appnp, &g, &w, &RcwConfig::with_budgets(0, 0));
         let (cw, _) = verify_counterfactual(&appnp, &g, &w);
         assert_eq!(out.is_robust(), cw);
     }
@@ -347,7 +295,7 @@ mod tests {
         let (g, appnp, t) = setup();
         let w = witness_of(&g, &appnp, t, &[(t, 0)]);
         let cfg = RcwConfig::with_budgets(2, 1);
-        let out = verify_rcw_appnp_node(&appnp, &g, &w, t, &cfg);
+        let out = verify(&appnp, &g, &w, &cfg);
         if let Some(ce) = &out.counterexample {
             assert!(ce.len() <= cfg.k, "counterexample larger than k");
             // it must not touch witness edges
@@ -366,7 +314,7 @@ mod tests {
             vec![t, 8],
             vec![l_t, l_8],
         );
-        let out = verify_rcw_appnp(&appnp, &g, &w, &RcwConfig::with_budgets(1, 1));
+        let out = verify(&appnp, &g, &w, &RcwConfig::with_budgets(1, 1));
         // node 8 cannot be factual over this witness (isolated from its clique),
         // so the aggregate level must degrade below Robust.
         assert!(out.level != WitnessLevel::Robust);

@@ -63,6 +63,13 @@ impl Witness {
         Witness::new(EdgeSubgraph::full(graph), test_nodes, labels)
     }
 
+    /// The same subgraph explaining only `node` (labelled `label`): the
+    /// one-node witness per-node checks verify (Lemma 6 makes them
+    /// independent).
+    pub fn single_node(&self, node: NodeId, label: usize) -> Self {
+        Witness::new(self.subgraph.clone(), vec![node], vec![label])
+    }
+
     /// Label recorded for test node `v`, if `v` is one of the test nodes.
     pub fn label_of(&self, v: NodeId) -> Option<usize> {
         self.test_nodes
@@ -169,6 +176,15 @@ mod tests {
         assert!(w.subgraph.contains_node(5));
         assert_eq!(w.label_of(5), Some(0));
         assert_eq!(w.label_of(1), None);
+    }
+
+    #[test]
+    fn single_node_keeps_the_subgraph_and_one_test_node() {
+        let w = Witness::new(EdgeSubgraph::from_edges([(1, 2)]), vec![5, 7], vec![0, 1]);
+        let single = w.single_node(7, 1);
+        assert_eq!(single.subgraph, w.subgraph);
+        assert_eq!(single.test_nodes, vec![7]);
+        assert_eq!(single.labels, vec![1]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! # rcw-gnn
 //!
 //! GNN substrate for the RoboGExp reproduction: fixed, deterministic node
-//! classifiers that can be evaluated on arbitrary edge-masked [`GraphView`]s.
+//! classifiers that can be evaluated on arbitrary edge-masked
+//! [`GraphView`](rcw_graph::GraphView)s.
 //!
 //! Provided models:
 //! * [`Gcn`] — the classifier configuration used by the paper's experiments

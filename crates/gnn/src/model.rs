@@ -264,19 +264,6 @@ pub trait GnnModel: Send + Sync {
         margin_of_row(row, label)
     }
 
-    /// Batched margins of one node across many candidate views. The default
-    /// evaluates each view's receptive field independently; models with a
-    /// shared-state trick may override. Callers whose views differ from one
-    /// base view by a single edge removal each should prefer
-    /// [`GnnModel::margin_many_removed`], which shares one receptive-field
-    /// ball across the whole batch.
-    fn margin_many(&self, v: NodeId, label: usize, views: &[GraphView<'_>]) -> Vec<f64> {
-        views
-            .iter()
-            .map(|view| self.margin(v, label, view))
-            .collect()
-    }
-
     /// Batched margins of `v` toward `label` across single-edge-removal
     /// variants of one `base` view — the generator's candidate-scoring loop,
     /// where trial views differ from the base only by one removed edge each.

@@ -12,16 +12,14 @@
 //!           [--faults SPEC] [--fault-seed N]
 //! ```
 //!
-//! `--model` is repeatable and accepts two forms:
-//!
-//! * a bare model name (`appnp` | `gcn`) — the legacy single-engine form,
-//!   combined with `--scale`, served at the bare endpoints;
-//! * a routing spec `name=model:scale[:workers]` — registers an engine under
-//!   the `/name/...` route prefix with its own model family, dataset scale,
-//!   and per-query session-worker count, e.g.
-//!   `--model gcn=gcn:tiny --model appnp=appnp:small:2`.
+//! `--model` is repeatable and takes a routing spec
+//! `name=model[:scale[:workers]]`: it registers an engine under the
+//! `/name/...` route prefix with its own model family (`appnp` | `gcn`),
+//! dataset scale (default: `--scale`), and per-query session-worker count
+//! (default 1), e.g. `--model gcn=gcn:tiny --model appnp=appnp:small:2`.
 //!
 //! The first `--model` is the default route (bare `/generate` goes to it).
+//! Without any `--model` the server runs the single spec `default=appnp`.
 //! The bound address is printed as the first stdout line
 //! (`rcw-serve listening on http://HOST:PORT`), so callers binding port 0 can
 //! discover the ephemeral port — the smoke test does exactly that. Every
@@ -78,17 +76,11 @@ fn parse_scale(text: &str) -> Result<Scale, String> {
     }
 }
 
-/// Parses one `--model` value: either a bare model name (legacy, scale is
-/// taken from `--scale` later) or `name=model:scale[:workers]`.
+/// Parses one `--model` value, `name=model[:scale[:workers]]`; a missing
+/// scale is taken from `--scale`.
 fn parse_model_spec(text: &str, default_scale: Scale) -> Result<EngineSpec, String> {
-    let Some((name, rest)) = text.split_once('=') else {
-        return Ok(EngineSpec {
-            name: "default".to_string(),
-            model: text.to_string(),
-            scale: default_scale,
-            session_workers: 1,
-        });
-    };
+    let shape_error = || format!("spec '{text}': expected name=model:scale[:workers]");
+    let (name, rest) = text.split_once('=').ok_or_else(shape_error)?;
     let mut parts = rest.split(':');
     let model = parts
         .next()
@@ -107,9 +99,7 @@ fn parse_model_spec(text: &str, default_scale: Scale) -> Result<EngineSpec, Stri
         None => 1,
     };
     if parts.next().is_some() {
-        return Err(format!(
-            "spec '{text}': expected name=model:scale[:workers]"
-        ));
+        return Err(shape_error());
     }
     Ok(EngineSpec {
         name: name.to_string(),
@@ -186,7 +176,7 @@ fn parse_args() -> Result<Options, String> {
                 return Err(
                     "usage: rcw_serve [--addr A] [--workers N] [--queue N] [--deadline-ms N] \
                             [--io-timeout-ms N] [--scale tiny|small|full] [--seed S] [--k K] \
-                            [--model appnp|gcn | --model name=model:scale[:workers]]... \
+                            [--model name=model[:scale[:workers]]]... \
                             [--faults SPEC] [--fault-seed N]"
                         .to_string(),
                 )
@@ -195,7 +185,7 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     if model_flags.is_empty() {
-        model_flags.push("appnp".to_string());
+        model_flags.push("default=appnp".to_string());
     }
     for text in &model_flags {
         opts.specs.push(parse_model_spec(text, opts.scale)?);

@@ -104,3 +104,20 @@ fn rcw_serve_round_trips_and_shuts_down_cleanly() {
     }
     assert!(status.success(), "rcw_serve exited with {status}");
 }
+
+/// `--model` takes only `name=model[:scale[:workers]]`: a bare model name is
+/// a startup error, announced as the first stdout line.
+#[test]
+fn rcw_serve_rejects_a_bare_model_name() {
+    let output = Command::new(env!("CARGO_BIN_EXE_rcw_serve"))
+        .args(["--addr", "127.0.0.1:0", "--model", "gcn"])
+        .stderr(Stdio::null())
+        .output()
+        .expect("run rcw_serve");
+    assert!(!output.status.success(), "a bare --model must fail");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(
+        stdout.lines().next(),
+        Some("rcw-serve: fatal: spec 'gcn': expected name=model:scale[:workers]")
+    );
+}
