@@ -3,18 +3,12 @@
 //!
 //! Usage: `cargo run --release -p rcw-bench --bin exp_table3 [-- --quick]`
 
-use rcw_bench::{table3, ExperimentContext};
-use rcw_datasets::Scale;
+use rcw_bench::{table3, table3_run};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (scale, k, vt) = if quick {
-        (Scale::Small, 8, 8)
-    } else {
-        (Scale::Full, 20, 20)
-    };
-    eprintln!("preparing CiteSeer-like dataset ({scale:?}) and training classifiers...");
-    let ctx = ExperimentContext::prepare("citeseer", scale, 3);
+    eprintln!("preparing CiteSeer-like dataset and training classifiers...");
+    let (ctx, k, vt) = table3_run(quick);
     eprintln!(
         "dataset: {} nodes, {} edges; GCN test accuracy {:.2}",
         ctx.dataset.graph.num_nodes(),

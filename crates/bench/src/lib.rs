@@ -208,6 +208,43 @@ pub fn evaluate_method(
     eval
 }
 
+/// The Table III run of `exp_table3`: the CiteSeer-like dataset (seed 3)
+/// with its trained classifiers, plus `k` and `|VT|` — the paper's
+/// `k = |VT| = 20` at full scale, or 8 and 8 on the small graph when `quick`.
+pub fn table3_run(quick: bool) -> (ExperimentContext, usize, usize) {
+    let (scale, k, vt) = if quick {
+        (Scale::Small, 8, 8)
+    } else {
+        (Scale::Full, 20, 20)
+    };
+    (ExperimentContext::prepare("citeseer", scale, 3), k, vt)
+}
+
+/// The quality columns of a Table III result as JSON: one object per
+/// method with every column but the run-dependent `Time(ms)`, cells as
+/// printed. `BENCH_quality.json` pins this for `exp_table3 --quick`.
+pub fn quality_json(table: &Table) -> String {
+    let keep: Vec<usize> = (0..table.columns.len())
+        .filter(|&i| !table.columns[i].starts_with("Time"))
+        .collect();
+    let rows: Vec<String> = table
+        .rows
+        .iter()
+        .map(|row| {
+            let cells: Vec<String> = keep
+                .iter()
+                .map(|&i| format!("{:?}: {:?}", table.columns[i], row[i]))
+                .collect();
+            format!("    {{{}}}", cells.join(", "))
+        })
+        .collect();
+    format!(
+        "{{\n  \"table\": {:?},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        table.title,
+        rows.join(",\n")
+    )
+}
+
 /// Experiment E1 (Table III): explanation quality on the CiteSeer-like dataset.
 pub fn table3(ctx: &ExperimentContext, k: usize, num_test_nodes: usize) -> Table {
     let test_nodes = ctx.dataset.pick_test_nodes(num_test_nodes, 13);

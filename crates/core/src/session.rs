@@ -24,8 +24,8 @@ use crate::verify::candidate_pairs_bounded;
 use crate::witness::{VerifyOutcome, Witness, WitnessLevel};
 use rcw_gnn::{GnnModel, KernelScratch};
 use rcw_graph::{
-    traversal::k_hop_neighborhood, AdjacencyBitmap, Edge, EdgeSubgraph, Graph, GraphView, NodeId,
-    VerifiedPairBitmap,
+    norm_edge, traversal::k_hop_neighborhood, AdjacencyBitmap, Edge, EdgeSubgraph, Graph,
+    GraphView, NodeId, VerifiedPairBitmap,
 };
 use std::time::{Duration, Instant};
 
@@ -320,6 +320,13 @@ fn ensure_factual(
 
 /// Expands the witness around `v` until removing it flips the label,
 /// absorbing the strongest remaining support edges near `v`.
+///
+/// Every remainder check below evaluates `G \ Gs` for a witness `Gs` that
+/// only grows from the one this call starts with, so each is a removal-only
+/// variant of the starting remainder. One receptive-field ball on that
+/// remainder ([`GnnModel::set_removal_base`]) answers them all: the quick
+/// exit removes nothing more, candidate scoring one candidate edge each,
+/// greedy absorption and backward pruning the edges absorbed so far.
 #[allow(clippy::too_many_arguments)]
 fn ensure_counterfactual(
     graph: &Graph,
@@ -331,13 +338,12 @@ fn ensure_counterfactual(
     stats: &mut GenerationStats,
     scratch: &mut KernelScratch,
 ) {
+    model.set_removal_base(v, &GraphView::without(graph, subgraph.edges()), scratch);
+
     // quick exit: already counterfactual for v
-    {
-        let remainder = GraphView::without(graph, subgraph.edges());
-        stats.inference_calls += 1;
-        if model.predict_with(v, &remainder, scratch) != Some(label) {
-            return;
-        }
+    stats.inference_calls += 1;
+    if !model.removal_keeps_label(label, &[], scratch) {
+        return;
     }
 
     // Candidate support edges near v, nearest first: edges incident to v,
@@ -364,30 +370,40 @@ fn ensure_counterfactual(
 
     // Score every candidate by how much removing it (together with the
     // current witness) hurts the label's margin — the pairs "most likely
-    // to change the label if flipped" that Procedure Expand targets. Every
-    // trial view is the shared remainder view plus one extra removal, so
-    // the batched entry point shares a single receptive-field ball across
-    // the whole pool instead of re-running BFS per candidate.
-    let base_removed = GraphView::without(graph, subgraph.edges());
+    // to change the label if flipped" that Procedure Expand targets. The
+    // pool lists edges among the neighborhood in both orientations, so each
+    // distinct edge is ranked once and its key shared; the accounting still
+    // charges one check per listed pair.
     let pairs: Vec<(NodeId, NodeId)> = candidates
         .iter()
         .copied()
         .filter(|&(a, b)| !subgraph.contains_edge(a, b) && graph.has_edge(a, b))
         .collect();
     stats.inference_calls += pairs.len();
-    let margins = model.margin_many_removed_with(v, label, &base_removed, &pairs, scratch);
-    let mut scored: Vec<(f64, (NodeId, NodeId))> = margins.into_iter().zip(pairs).collect();
+    let mut distinct: Vec<Edge> = Vec::with_capacity(pairs.len());
+    let slots: Vec<usize> = pairs
+        .iter()
+        .map(|&(a, b)| {
+            let e = norm_edge(a, b);
+            distinct.iter().position(|&d| d == e).unwrap_or_else(|| {
+                distinct.push(e);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let keys = model.removal_ranking_keys(label, &distinct, scratch);
+    let mut scored: Vec<(f64, (NodeId, NodeId))> =
+        slots.iter().map(|&i| keys[i]).zip(pairs).collect();
     scored.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
 
     // Greedily absorb the most label-critical support edges until the
     // remainder flips, with a hard bound so that an unattainable
     // counterfactual does not blow the witness up.
     let max_add = graph.degree(v).max(3) + 6;
-    let mut added = 0usize;
     let mut added_edges: Vec<(NodeId, NodeId)> = Vec::new();
     let mut flipped = false;
     for (_, (a, b)) in scored {
-        if added >= max_add {
+        if added_edges.len() >= max_add {
             break;
         }
         if subgraph.contains_edge(a, b) {
@@ -395,27 +411,30 @@ fn ensure_counterfactual(
         }
         subgraph.add_edge(a, b);
         added_edges.push((a, b));
-        added += 1;
-        let remainder = GraphView::without(graph, subgraph.edges());
         stats.inference_calls += 1;
-        if model.predict_with(v, &remainder, scratch) != Some(label) {
+        if !model.removal_keeps_label(label, &added_edges, scratch) {
             flipped = true;
             break; // counterfactual achieved
         }
     }
     if flipped {
-        // Backward pruning pass: drop absorbed edges that are not needed
-        // for the flip, keeping the witness concise (the paper's RCWs are
-        // roughly half the size of the baselines' explanations).
+        // Backward pruning pass: revisit the absorbed edges newest first,
+        // skipping the one that completed the flip, and drop each edge whose
+        // removal from the witness keeps the remainder flipped and `v`
+        // factual on the witness.
+        let mut kept = added_edges.clone();
         for &(a, b) in added_edges.iter().rev().skip(1) {
             subgraph.remove_edge(a, b);
-            let remainder = GraphView::without(graph, subgraph.edges());
+            let trial: Vec<(NodeId, NodeId)> =
+                kept.iter().copied().filter(|&e| e != (a, b)).collect();
             stats.inference_calls += 1;
-            let still_flipped = model.predict_with(v, &remainder, scratch) != Some(label);
+            let still_flipped = !model.removal_keeps_label(label, &trial, scratch);
             let view_only = GraphView::restricted_to(graph, subgraph.edges());
             stats.inference_calls += 1;
             let still_factual = model.predict_with(v, &view_only, scratch) == Some(label);
-            if !(still_flipped && still_factual) {
+            if still_flipped && still_factual {
+                kept = trial;
+            } else {
                 subgraph.add_edge(a, b);
             }
         }

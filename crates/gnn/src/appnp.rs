@@ -18,13 +18,45 @@
 //! Because `H` is node-local, the model computes it once per feature epoch
 //! ([`Appnp::local_logits`]) and its localized inference gathers the ball's
 //! rows of `H` and runs only the propagation half of the forward kernel.
+//!
+//! The same linearity answers the removal-variant queries of witness
+//! generation cheaply. `T` rounds of the fixed point give
+//! `z_v = (1 - alpha) w^T H` with walk weights
+//! `w = sum_{s=0..T} alpha^s e_v^T P^s`, one scalar per ball node, so a
+//! label decision or a candidate ranking costs one scalar gather per round
+//! instead of one per class. Those answers are used only where a
+//! floating-point error bound certifies that the exact forward would give
+//! the same one; everything else runs the exact forward.
 
 use crate::cache::EpochCache;
-use crate::model::{one_hot_labels, pack_all, sized, ForwardScratch, GnnModel};
+use crate::model::{
+    margin_of_row, one_hot_labels, pack_all, removal_logits_into, removal_margins, sized,
+    ForwardScratch, GnnModel, KernelScratch, RemovalBase,
+};
 use crate::train::{Adam, TrainConfig, TrainReport};
-use rcw_graph::{Csr, ForwardCtx, Graph, GraphView, NodeId};
+use rcw_graph::{Csr, Edge, ForwardCtx, Graph, GraphView, NodeId};
 use rcw_linalg::{init, matmul_packed_rows, vector, Activation, Matrix, PackedWeights};
 use std::sync::Arc;
+
+/// Buffers of [`Appnp::walk_logits`]: the walk distribution of the current
+/// and the next round, its degree-scaled copy, the accumulated walk weights
+/// and the resulting logits.
+#[derive(Debug, Default)]
+pub(crate) struct WalkScratch {
+    r: Vec<f64>,
+    q: Vec<f64>,
+    next: Vec<f64>,
+    w: Vec<f64>,
+    z: Vec<f64>,
+}
+
+/// Calls `f` on each scheduled row (`None`: every row of `0..n`).
+fn for_rows(rows: Option<&[usize]>, n: usize, mut f: impl FnMut(usize)) {
+    match rows {
+        None => (0..n).for_each(f),
+        Some(rows) => rows.iter().for_each(|&u| f(u)),
+    }
+}
 
 /// The APPNP model: an MLP feature transform plus PPR propagation.
 #[derive(Clone, Debug)]
@@ -36,7 +68,9 @@ pub struct Appnp {
     weights_p: Vec<PackedWeights>,
     /// Hidden activation of the MLP.
     activation: Activation,
-    /// Teleport probability `alpha` of the PPR propagation.
+    /// Continuation weight `alpha` of the PPR propagation: each round keeps
+    /// `alpha` of the propagated value and teleports back to `H` with
+    /// probability `1 - alpha`.
     alpha: f64,
     /// Number of propagation (power) iterations.
     prop_iters: usize,
@@ -46,8 +80,9 @@ pub struct Appnp {
 }
 
 impl Appnp {
-    /// Creates an APPNP model with the given MLP dimensions, teleport
-    /// probability and propagation iterations.
+    /// Creates an APPNP model with the given MLP dimensions, continuation
+    /// weight `alpha` (teleport probability `1 - alpha`) and propagation
+    /// iterations.
     ///
     /// # Panics
     /// Panics if fewer than two dims are given or `alpha` is outside `(0, 1)`.
@@ -75,7 +110,8 @@ impl Appnp {
         }
     }
 
-    /// The teleport probability `alpha`.
+    /// The continuation weight `alpha`; the teleport probability is
+    /// `1 - alpha`.
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
@@ -230,6 +266,124 @@ impl Appnp {
     ) -> &'s [f64] {
         let dim = self.mlp_scratch(x, s);
         self.propagate_scratch(ctx, x.rows(), dim, s)
+    }
+
+    /// The per-logit error bound of walk-weight logits over the removal
+    /// base, derived once per base; `None` when its `H` rows hold a
+    /// non-finite entry (or one so large that sums could overflow), in which
+    /// case every answer falls back to the exact forward.
+    ///
+    /// Both the exact forward and [`Appnp::walk_logits`] evaluate the same
+    /// real number `z* = (1 - a) sum_{s=0..T} a^s (P^s H)_v` (with `a` and
+    /// `1 - a` as the stored floats), and both only ever sum non-negative
+    /// weights times rows of `H`, the weights of one round summing to at
+    /// most 1, so every partial sum is at most `A = max |H|` in magnitude.
+    /// With unit roundoff `u = EPSILON / 2`, `T = prop_iters`, `D` the
+    /// ball's largest degree and `n` its node count, first-order error
+    /// analysis gives:
+    /// - exact forward: each round's row sum of at most `D + 1` products,
+    ///   the `1 / (d + 1)` weight, the scaling by `a` and the teleport add
+    ///   cost `D + 4` roundings, relative to `A`; over `T` rounds plus the
+    ///   teleport base that is `(T + 1)(D + 4) u A`;
+    /// - walk weights: each entry of `e_v^T P^s` carries relative error
+    ///   `s (D + 2) u` (all terms non-negative), the `a^s` scaling and the
+    ///   sum over `s` add `2T + 1`, so `w` is relative-exact to within
+    ///   `(T + 1)(D + 4) u`; the dot product `w^T H` over `n` terms and the
+    ///   final `(1 - a)` scaling add `(n + 1) u A`.
+    ///
+    /// So `|walk - exact| <= (2 (T + 1)(D + 4) + n + 1) u A`. The bound uses
+    /// `EPSILON = 2u`, doubling that as slack for the second-order terms and
+    /// for the rounding of the margin and gap subtractions, plus
+    /// `(1 + A) * MIN_POSITIVE` for subnormal underflow (each of fewer than
+    /// `2^50` roundings loses at most `2^-1075`).
+    fn walk_bound(&self, removal: &mut RemovalBase) -> Option<f64> {
+        let bound = *removal.bound.get_or_insert_with(|| {
+            let h = removal.inputs.data();
+            if h.iter().any(|x| !x.is_finite()) {
+                return f64::INFINITY;
+            }
+            let a = h.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            if a > f64::MAX / 4.0 {
+                return f64::INFINITY;
+            }
+            let d = removal.ball.degrees().iter().fold(0.0f64, |m, &x| m.max(x));
+            let t = self.prop_iters as f64;
+            let n = removal.ball.len() as f64;
+            (2.0 * (t + 1.0) * (d + 4.0) + n + 1.0) * f64::EPSILON * a
+                + (1.0 + a) * f64::MIN_POSITIVE
+        });
+        bound.is_finite().then_some(bound)
+    }
+
+    /// Walk-weight logits of the removal base's center on the base view
+    /// without `removed`: `z = (1 - a) w^T H` with
+    /// `w = sum_{s=0..T} a^s e_v^T P'^s` over the ball variant `P'`. Round
+    /// `s` gathers `r_s = r_{s-1} P'` over the rows within `s` hops (outside
+    /// them `r_s` is zero): `r_s[x] = q[x] + sum_{y in N(x)} q[y]` with
+    /// `q = r_{s-1} / (d + 1)`.
+    fn walk_logits<'s>(&self, removed: &[Edge], removal: &'s mut RemovalBase) -> &'s [f64] {
+        let RemovalBase {
+            ball,
+            inputs,
+            variant,
+            walk,
+            ..
+        } = removal;
+        let ctx = ball.minus_edges_ctx(removed, variant);
+        let inv_deg = ctx.inv_deg().expect("ball variants cache their norms");
+        let csr = ctx.csr();
+        let n = ctx.num_nodes();
+        let WalkScratch { r, q, next, w, z } = walk;
+        for buf in [&mut *r, &mut *q, &mut *next, &mut *w] {
+            buf.clear();
+            buf.resize(n, 0.0);
+        }
+        let center = ball.center_index();
+        r[center] = 1.0;
+        w[center] = 1.0;
+        let mut weight = 1.0;
+        for s in 1..=self.prop_iters {
+            for_rows(ctx.active_rows(s - 1), n, |u| q[u] = r[u] * inv_deg[u]);
+            weight *= self.alpha;
+            for_rows(ctx.active_rows(s), n, |x| {
+                let mut acc = q[x];
+                for &y in csr.neighbors(x) {
+                    acc += q[y];
+                }
+                next[x] = acc;
+                w[x] += weight * acc;
+            });
+            std::mem::swap(r, next);
+        }
+        z.clear();
+        z.resize(inputs.cols(), 0.0);
+        for (u, &wu) in w.iter().enumerate() {
+            if wu != 0.0 {
+                for (zc, &h) in z.iter_mut().zip(inputs.row(u)) {
+                    *zc += wu * h;
+                }
+            }
+        }
+        let teleport = 1.0 - self.alpha;
+        for zc in z.iter_mut() {
+            *zc *= teleport;
+        }
+        z
+    }
+
+    /// The top class of the walk-weight logits when it leads the runner-up
+    /// by more than twice the per-logit bound: the exact forward's argmax is
+    /// then the same class. `None` means "run the exact forward".
+    fn certified_top(&self, removed: &[Edge], removal: &mut RemovalBase) -> Option<usize> {
+        let bound = self.walk_bound(removal)?;
+        let z = self.walk_logits(removed, removal);
+        let top = vector::argmax(z);
+        let runner_up = z
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| c != top)
+            .fold(f64::NEG_INFINITY, |m, (_, &x)| m.max(x));
+        (z[top] - runner_up > 2.0 * bound).then_some(top)
     }
 
     /// Applies the *transposed* propagation, used for backpropagation:
@@ -392,6 +546,60 @@ impl GnnModel for Appnp {
         scratch.a.clear();
         scratch.a.extend_from_slice(inputs.data());
         self.propagate_scratch(ctx, inputs.rows(), inputs.cols(), scratch)
+    }
+
+    /// The walk-weight top class when certified, else the exact forward.
+    fn removal_keeps_label(
+        &self,
+        label: usize,
+        removed: &[Edge],
+        scratch: &mut KernelScratch,
+    ) -> bool {
+        match self.certified_top(removed, &mut scratch.removal) {
+            Some(top) => top == label,
+            None => vector::argmax(removal_logits_into(self, removed, scratch)) == label,
+        }
+    }
+
+    /// Walk-weight margins, with every run of near-ties re-scored exactly.
+    /// A walk margin is within `2 * bound` of the exact one, so two
+    /// candidates whose walk margins lie more than `4 * bound` apart are
+    /// ordered as their exact margins are, and an exact margin keeps that
+    /// order against a candidate more than `4 * bound` away too. Keys of
+    /// candidates with a neighbor (in walk order) closer than that are
+    /// replaced by their exact margins, so a stable sort by key orders every
+    /// pair exactly as the exact margins do, ties by position included.
+    fn removal_ranking_keys(
+        &self,
+        label: usize,
+        candidates: &[Edge],
+        scratch: &mut KernelScratch,
+    ) -> Vec<f64> {
+        let Some(bound) = self.walk_bound(&mut scratch.removal) else {
+            return removal_margins(self, label, candidates, scratch);
+        };
+        let mut keys: Vec<f64> = candidates
+            .iter()
+            .map(|&e| margin_of_row(self.walk_logits(&[e], &mut scratch.removal), label))
+            .collect();
+        if keys.iter().any(|m| !m.is_finite()) {
+            return removal_margins(self, label, candidates, scratch);
+        }
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&i, &j| keys[i].total_cmp(&keys[j]));
+        let mut rescore = vec![false; keys.len()];
+        for pair in order.windows(2) {
+            if keys[pair[1]] - keys[pair[0]] <= 4.0 * bound {
+                rescore[pair[0]] = true;
+                rescore[pair[1]] = true;
+            }
+        }
+        for (i, &e) in candidates.iter().enumerate() {
+            if rescore[i] {
+                keys[i] = margin_of_row(removal_logits_into(self, &[e], scratch), label);
+            }
+        }
+        keys
     }
 }
 

@@ -14,9 +14,17 @@
 //! [`Locality`] — the L-hop receptive field under the view — which is
 //! bit-exact (same floats, same argmax) and orders of magnitude cheaper on
 //! graphs larger than the receptive field.
+//!
+//! The removal-variant queries ([`GnnModel::set_removal_base`] and the
+//! methods after it) serve witness generation, which evaluates many views
+//! that differ from one base view only by removed edges: they build the
+//! base's ball once and answer each view from a variant of it. Their
+//! defaults run the exact forward; a model may override the answers with a
+//! cheaper computation that provably agrees (APPNP's walk weights).
 
+use crate::appnp::WalkScratch;
 use rcw_graph::{
-    BallScratch, BallVariant, Csr, CsrNorms, ForwardCtx, Graph, GraphView, Locality, NodeId,
+    BallScratch, BallVariant, Csr, CsrNorms, Edge, ForwardCtx, Graph, GraphView, Locality, NodeId,
 };
 use rcw_linalg::{vector, Matrix, PackedWeights};
 
@@ -55,18 +63,19 @@ pub(crate) fn pack_all(weights: &[Matrix]) -> Vec<PackedWeights> {
 }
 
 /// All working memory a localized inference query needs: the receptive-field
-/// ball and its BFS scratch, the single-removal variant scratch, the ball's
-/// input rows ([`GnnModel::local_inputs_into`]), and the per-layer forward
-/// buffers. One `KernelScratch` per worker makes `predict_with` /
-/// `margin_many_removed_with` allocation-free in steady state; results are
-/// bit-identical to the allocating entry points.
+/// ball and its BFS scratch, the ball's input rows
+/// ([`GnnModel::local_inputs_into`]), the per-layer forward buffers, and the
+/// removal base of the removal-variant queries
+/// ([`GnnModel::set_removal_base`]). One `KernelScratch` per worker makes
+/// `predict_with` and the removal-variant queries allocation-free in steady
+/// state; results are bit-identical to the allocating entry points.
 #[derive(Debug)]
 pub struct KernelScratch {
     pub(crate) ball: Locality,
     pub(crate) build: BallScratch,
-    pub(crate) variant: BallVariant,
     pub(crate) inputs: Matrix,
     pub(crate) fwd: ForwardScratch,
+    pub(crate) removal: RemovalBase,
 }
 
 impl Default for KernelScratch {
@@ -74,9 +83,36 @@ impl Default for KernelScratch {
         KernelScratch {
             ball: Locality::default(),
             build: BallScratch::default(),
-            variant: BallVariant::default(),
             inputs: Matrix::zeros(0, 0),
             fwd: ForwardScratch::default(),
+            removal: RemovalBase::default(),
+        }
+    }
+}
+
+/// The removal base of a [`KernelScratch`]: one receptive-field ball built
+/// on a base view, its input rows, the scratch every removal variant is
+/// derived into, and what a model answering from an approximation keeps per
+/// base (APPNP's walk buffers and certified error bound).
+#[derive(Debug)]
+pub(crate) struct RemovalBase {
+    pub(crate) ball: Locality,
+    pub(crate) inputs: Matrix,
+    pub(crate) variant: BallVariant,
+    pub(crate) walk: WalkScratch,
+    /// Per-logit error bound of the approximate answers over this base,
+    /// derived lazily by the model; `None` until then.
+    pub(crate) bound: Option<f64>,
+}
+
+impl Default for RemovalBase {
+    fn default() -> Self {
+        RemovalBase {
+            ball: Locality::default(),
+            inputs: Matrix::zeros(0, 0),
+            variant: BallVariant::default(),
+            walk: WalkScratch::default(),
+            bound: None,
         }
     }
 }
@@ -264,20 +300,61 @@ pub trait GnnModel: Send + Sync {
         margin_of_row(row, label)
     }
 
+    /// Makes `v`'s receptive-field ball under `base` the *removal base* of
+    /// `scratch`. The ball and its input rows are built once here; every
+    /// removal-variant query after it ([`GnnModel::removal_keeps_label`],
+    /// [`GnnModel::removal_ranking_keys`], [`removal_logits_into`],
+    /// [`removal_margins`]) evaluates a view `base \ removed` as a variant of
+    /// that ball ([`Locality::minus_edges_ctx`]) instead of building a ball
+    /// of its own. The removal base lives beside the buffers of
+    /// [`GnnModel::predict_with`], so the two kinds of query interleave
+    /// freely.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a node of the view.
+    fn set_removal_base(&self, v: NodeId, base: &GraphView<'_>, scratch: &mut KernelScratch) {
+        let KernelScratch { build, removal, .. } = scratch;
+        removal.ball.rebuild(base, v, self.receptive_hops(), build);
+        self.local_inputs_into(base.graph(), removal.ball.nodes(), &mut removal.inputs);
+        removal.bound = None;
+    }
+
+    /// Whether the removal base's center `v` keeps `label` on the base view
+    /// without `removed`: `predict(v, base \ removed) == Some(label)`.
+    /// `removed` must satisfy [`Locality::minus_edges_ctx`]'s contract
+    /// (distinct edges, each visible in the base view).
+    ///
+    /// The default runs the exact forward over the variant
+    /// ([`removal_logits_into`]). An override may answer from a cheaper
+    /// computation, but must return the same answer for every input.
+    fn removal_keeps_label(
+        &self,
+        label: usize,
+        removed: &[Edge],
+        scratch: &mut KernelScratch,
+    ) -> bool {
+        vector::argmax(removal_logits_into(self, removed, scratch)) == label
+    }
+
+    /// Ranking keys of single-edge removals from the removal base: a stable
+    /// sort of `candidates` by key (`f64::partial_cmp`, incomparable keys
+    /// as equal) gives exactly the order a stable sort by their exact
+    /// margins towards `label` ([`removal_margins`]) gives. The default
+    /// returns those exact margins; an override may return cheaper keys
+    /// that order the same way.
+    fn removal_ranking_keys(
+        &self,
+        label: usize,
+        candidates: &[Edge],
+        scratch: &mut KernelScratch,
+    ) -> Vec<f64> {
+        removal_margins(self, label, candidates, scratch)
+    }
+
     /// Batched margins of `v` toward `label` across single-edge-removal
-    /// variants of one `base` view — the generator's candidate-scoring loop,
-    /// where trial views differ from the base only by one removed edge each.
-    ///
-    /// Instead of one BFS ball per variant, the base ball is built once and
-    /// every variant is derived from it ([`Locality::minus_edge`]): same node
-    /// set, features, and row schedule; only the removed arcs and endpoint
-    /// degrees change. Removals can only shrink the receptive field, so the
-    /// shared ball stays a superset of each variant's and the result is
-    /// bit-exact against `margin` on an explicitly built variant view.
-    /// Removals that do not touch the ball cannot move the center's logits
-    /// and collapse to one shared base evaluation.
-    ///
-    /// Every removal must be an edge visible in `base`.
+    /// variants of one `base` view: [`GnnModel::set_removal_base`] followed
+    /// by [`removal_margins`]. Bit-exact against `margin` on each explicitly
+    /// built variant view. Every removal must be an edge visible in `base`.
     fn margin_many_removed(
         &self,
         v: NodeId,
@@ -289,10 +366,8 @@ pub trait GnnModel: Send + Sync {
     }
 
     /// [`GnnModel::margin_many_removed`] over caller-provided scratch
-    /// buffers: the ball is rebuilt into the scratch, every in-ball candidate
-    /// reuses one [`BallVariant`] and the forward buffers, and out-of-ball
-    /// candidates share one lazily computed base margin — zero heap
-    /// allocations per candidate once the scratch has warmed up.
+    /// buffers — zero heap allocations per candidate once the scratch has
+    /// warmed up.
     fn margin_many_removed_with(
         &self,
         v: NodeId,
@@ -301,41 +376,8 @@ pub trait GnnModel: Send + Sync {
         removals: &[(NodeId, NodeId)],
         scratch: &mut KernelScratch,
     ) -> Vec<f64> {
-        scratch
-            .ball
-            .rebuild(base, v, self.receptive_hops(), &mut scratch.build);
-        self.local_inputs_into(base.graph(), scratch.ball.nodes(), &mut scratch.inputs);
-        let KernelScratch {
-            ball,
-            variant,
-            inputs,
-            fwd,
-            ..
-        } = scratch;
-        let k = self.num_classes();
-        let center = ball.center_index();
-        let mut base_margin: Option<f64> = None;
-        removals
-            .iter()
-            .map(|&(a, b)| {
-                if !ball.contains(a) && !ball.contains(b) {
-                    // a removal outside the ball cannot move the center's
-                    // logits; all such candidates share one base evaluation
-                    if let Some(m) = base_margin {
-                        m
-                    } else {
-                        let z = self.forward_local_into(&ball.forward_ctx(), inputs, fwd);
-                        let m = margin_of_row(&z[center * k..(center + 1) * k], label);
-                        base_margin = Some(m);
-                        m
-                    }
-                } else {
-                    let ctx = ball.minus_edge_ctx(a, b, variant);
-                    let z = self.forward_local_into(&ctx, inputs, fwd);
-                    margin_of_row(&z[center * k..(center + 1) * k], label)
-                }
-            })
-            .collect()
+        self.set_removal_base(v, base, scratch);
+        removal_margins(self, label, removals, scratch)
     }
 }
 
@@ -369,6 +411,51 @@ pub fn localized_logits_into<'s, M: GnnModel + ?Sized>(
     let k = model.num_classes();
     let center = scratch.ball.center_index();
     &z[center * k..(center + 1) * k]
+}
+
+/// The removal base center's logits row over the base view without
+/// `removed`, by the exact forward over the ball variant
+/// ([`Locality::minus_edges_ctx`], same contract). Bit-exact against
+/// [`localized_logits_row`] on the explicitly built view; the row borrows
+/// the scratch. Requires a prior [`GnnModel::set_removal_base`].
+pub fn removal_logits_into<'s, M: GnnModel + ?Sized>(
+    model: &M,
+    removed: &[Edge],
+    scratch: &'s mut KernelScratch,
+) -> &'s [f64] {
+    let KernelScratch { removal, fwd, .. } = scratch;
+    let ctx = removal.ball.minus_edges_ctx(removed, &mut removal.variant);
+    let z = model.forward_local_into(&ctx, &removal.inputs, fwd);
+    let k = model.num_classes();
+    let center = removal.ball.center_index();
+    &z[center * k..(center + 1) * k]
+}
+
+/// Exact margins towards `label` of the removal base's center without each
+/// single candidate edge: entry `i` is [`margin_of_row`] of
+/// [`removal_logits_into`] without `candidates[i]`. Removals that touch no
+/// ball node cannot move the center's logits and share one base evaluation.
+pub fn removal_margins<M: GnnModel + ?Sized>(
+    model: &M,
+    label: usize,
+    candidates: &[Edge],
+    scratch: &mut KernelScratch,
+) -> Vec<f64> {
+    let mut base_margin: Option<f64> = None;
+    let mut margins = Vec::with_capacity(candidates.len());
+    for &(a, b) in candidates {
+        let ball = &scratch.removal.ball;
+        let outside = !ball.contains(a) && !ball.contains(b);
+        let m = match base_margin {
+            Some(m) if outside => m,
+            _ => margin_of_row(removal_logits_into(model, &[(a, b)], scratch), label),
+        };
+        if outside {
+            base_margin = Some(m);
+        }
+        margins.push(m);
+    }
+    margins
 }
 
 /// Margin of a logits row towards `label` over the runner-up class.

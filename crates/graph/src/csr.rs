@@ -170,44 +170,34 @@ impl Csr {
         Csr { offsets, targets }
     }
 
-    /// A copy of this CSR with the arcs `u -> v` and `v -> u` removed
-    /// (absent arcs are a no-op). Neighbor order of every surviving arc is
-    /// preserved, so downstream floating-point reductions stay bit-stable.
-    pub fn minus_arc_pair(&self, u: NodeId, v: NodeId) -> Csr {
-        let mut out = Csr {
-            offsets: Vec::new(),
-            targets: Vec::new(),
-        };
-        self.minus_arc_pair_into(u, v, &mut out);
-        out
+    /// Position of the arc `u -> v` in the target array, if present
+    /// (neighbor slices are sorted, so a binary search locates it).
+    pub(crate) fn arc_position(&self, u: NodeId, v: NodeId) -> Option<usize> {
+        let row = self.neighbors(u);
+        row.binary_search(&v).ok().map(|i| self.offsets[u] + i)
     }
 
-    /// [`Csr::minus_arc_pair`] writing into a caller-provided scratch CSR,
-    /// reusing its allocations: a bulk copy of both buffers followed by at
-    /// most two in-row deletions, instead of a branch per surviving arc.
-    pub fn minus_arc_pair_into(&self, u: NodeId, v: NodeId, out: &mut Csr) {
-        out.offsets.clear();
-        out.offsets.extend_from_slice(&self.offsets);
+    /// Copies this CSR into `out` without the arcs at positions `cut` of the
+    /// target array (ascending, distinct), reusing `out`'s allocations. The
+    /// surviving runs are bulk-copied and each row offset shifts by the
+    /// number of cut arcs before it, so every surviving arc keeps its
+    /// neighbor order and downstream floating-point reductions stay
+    /// bit-stable.
+    pub(crate) fn without_arcs_into(&self, cut: &[usize], out: &mut Csr) {
         out.targets.clear();
-        out.targets.extend_from_slice(&self.targets);
-        out.remove_arc(u, v);
-        if u != v {
-            out.remove_arc(v, u);
+        let mut from = 0;
+        for &p in cut {
+            out.targets.extend_from_slice(&self.targets[from..p]);
+            from = p + 1;
         }
-    }
-
-    /// Removes the single arc `a -> b` if present (neighbor slices are
-    /// sorted, so a binary search locates it).
-    fn remove_arc(&mut self, a: NodeId, b: NodeId) {
-        if a + 1 >= self.offsets.len() {
-            return;
-        }
-        let row = &self.targets[self.offsets[a]..self.offsets[a + 1]];
-        if let Ok(pos) = row.binary_search(&b) {
-            self.targets.remove(self.offsets[a] + pos);
-            for o in &mut self.offsets[a + 1..] {
-                *o -= 1;
+        out.targets.extend_from_slice(&self.targets[from..]);
+        out.offsets.clear();
+        let mut before = 0;
+        for &o in &self.offsets {
+            while before < cut.len() && cut[before] < o {
+                before += 1;
             }
+            out.offsets.push(o - before);
         }
     }
 
@@ -684,20 +674,32 @@ mod tests {
     }
 
     #[test]
-    fn minus_arc_pair_into_reuses_scratch_and_matches() {
+    fn without_arcs_into_reuses_scratch_and_keeps_order() {
         let g = star();
         let csr = Csr::from_view(&GraphView::full(&g));
-        let mut scratch = Csr::default();
-        for &(u, v) in &[(0, 2), (2, 0), (1, 3), (7, 7), (0, 0)] {
-            csr.minus_arc_pair_into(u, v, &mut scratch);
-            assert_eq!(scratch, csr.minus_arc_pair(u, v), "arc ({u},{v})");
-        }
-        // reuse after a real removal: scratch must fully rebuild
-        csr.minus_arc_pair_into(0, 1, &mut scratch);
-        assert_eq!(scratch.neighbors(0), &[2, 3]);
-        assert_eq!(scratch.neighbors(1), &[] as &[NodeId]);
-        csr.minus_arc_pair_into(9, 9, &mut scratch);
-        assert_eq!(scratch, csr);
+        let mut out = Csr::default();
+        // cut 0 -> 2 and 2 -> 0
+        let cut = [
+            csr.arc_position(0, 2).unwrap(),
+            csr.arc_position(2, 0).unwrap(),
+        ];
+        let mut sorted = cut;
+        sorted.sort_unstable();
+        csr.without_arcs_into(&sorted, &mut out);
+        assert_eq!(out.neighbors(0), &[1, 3]);
+        assert_eq!(out.neighbors(1), &[0]);
+        assert_eq!(out.neighbors(2), &[] as &[NodeId]);
+        assert_eq!(out.neighbors(3), &[0]);
+        assert_eq!(out.num_arcs(), csr.num_arcs() - 2);
+        // reuse: an empty cut must fully rebuild the scratch as a copy
+        csr.without_arcs_into(&[], &mut out);
+        assert_eq!(out, csr);
+        // every arc of the hub cut at once
+        let hub: Vec<usize> = (0..3).map(|i| csr.offsets[0] + i).collect();
+        csr.without_arcs_into(&hub, &mut out);
+        assert_eq!(out.neighbors(0), &[] as &[NodeId]);
+        assert_eq!(out.neighbors(3), &[0]);
+        assert_eq!(csr.arc_position(1, 2), None);
     }
 
     /// Random connected graph + random feature buffer, deterministic in seed.

@@ -88,12 +88,14 @@ pub struct Locality {
     schedule: Schedule,
 }
 
-/// Scratch for [`Locality::minus_edge_ctx`]: one single-removal CSR/norm
-/// variant, rebuilt in place per candidate edge.
+/// Scratch for [`Locality::minus_edges_ctx`]: one removal variant's CSR and
+/// normalization vectors, rebuilt in place per removal set, plus the
+/// positions of the arcs it cuts.
 #[derive(Debug, Default)]
 pub struct BallVariant {
     csr: Csr,
     norms: CsrNorms,
+    cut: Vec<usize>,
 }
 
 impl Locality {
@@ -367,70 +369,61 @@ impl Locality {
         self.nodes.binary_search(&v).is_ok()
     }
 
-    /// A variant of this ball with one view-visible edge `(a, b)` removed:
-    /// the same node set and row schedule, the `(a, b)` arcs dropped from the
-    /// induced CSR, and the true degrees of in-ball endpoints decremented.
-    /// An edge that does not touch the ball yields a plain clone.
+    /// The ball of the view without `edges`, derived from this ball into
+    /// the caller's [`BallVariant`] scratch: the same node set and row
+    /// schedule, the removed edges' arcs cut from the induced CSR (one bulk
+    /// copy) and the true degrees of their in-ball endpoints decremented.
+    /// Returns a [`ForwardCtx`] over the variant; a set that touches no ball
+    /// node yields this ball's own context without copying.
     ///
-    /// Sound for *removals only*: deleting an edge can only lengthen BFS
-    /// distances, so this ball stays a superset of the variant view's true
-    /// receptive field and the shared distance schedule stays conservative —
-    /// a forward pass over the variant is bit-exact against a pass over
-    /// `Locality::build` of the variant view (same reduction orders, same
-    /// true degrees). The caller must pass an edge that is visible in the
-    /// view the ball was built from; removing an absent edge would corrupt
-    /// the recorded degrees.
-    pub fn minus_edge(&self, a: NodeId, b: NodeId) -> Locality {
-        let la = self.nodes.binary_search(&a).ok();
-        let lb = self.nodes.binary_search(&b).ok();
-        let mut out = self.clone();
-        if la.is_none() && lb.is_none() {
-            return out;
-        }
-        if let Some(i) = la {
-            out.norms.decrement(i);
-        }
-        if let Some(j) = lb {
-            out.norms.decrement(j);
-        }
-        if let (Some(i), Some(j)) = (la, lb) {
-            out.csr = out.csr.minus_arc_pair(i, j);
-        }
-        out
-    }
-
-    /// The zero-allocation counterpart of [`Locality::minus_edge`]: builds
-    /// the single-removal variant into the caller's [`BallVariant`] scratch
-    /// (bulk-copying CSR and norms, then applying the at-most-two arc
-    /// deletions and degree decrements) and returns a [`ForwardCtx`] over it
-    /// that shares this ball's row schedule. Same soundness contract as
-    /// `minus_edge`.
-    pub fn minus_edge_ctx<'a>(
+    /// Soundness contract: `edges` are *removals only*, distinct, and each
+    /// visible in the view this ball was built from. Deleting edges can only
+    /// lengthen BFS distances, so this ball stays a superset of the variant
+    /// view's receptive field and the shared distance schedule stays
+    /// conservative. A forward pass over the variant is then bit-exact
+    /// against a pass over `Locality::build` of the variant view: every row
+    /// the center depends on sees the same neighbors in the same order with
+    /// the same true degrees. Removing an absent or repeated edge would
+    /// corrupt the recorded degrees.
+    pub fn minus_edges_ctx<'a>(
         &'a self,
-        a: NodeId,
-        b: NodeId,
+        edges: &[(NodeId, NodeId)],
         scratch: &'a mut BallVariant,
     ) -> ForwardCtx<'a> {
-        let la = self.nodes.binary_search(&a).ok();
-        let lb = self.nodes.binary_search(&b).ok();
-        if la.is_none() && lb.is_none() {
+        let BallVariant { csr, norms, cut } = scratch;
+        cut.clear();
+        let mut touched = false;
+        for &(a, b) in edges {
+            let la = self.local_index(a);
+            let lb = self.local_index(b);
+            if la.is_none() && lb.is_none() {
+                continue;
+            }
+            if !touched {
+                norms.clone_from(&self.norms);
+                touched = true;
+            }
+            if let Some(i) = la {
+                norms.decrement(i);
+            }
+            if let Some(j) = lb {
+                norms.decrement(j);
+            }
+            if let (Some(i), Some(j)) = (la, lb) {
+                cut.extend(self.csr.arc_position(i, j));
+                if i != j {
+                    cut.extend(self.csr.arc_position(j, i));
+                }
+            }
+        }
+        if !touched {
             return self.forward_ctx();
         }
-        scratch.norms.clone_from(&self.norms);
-        if let Some(i) = la {
-            scratch.norms.decrement(i);
-        }
-        if let Some(j) = lb {
-            scratch.norms.decrement(j);
-        }
-        if let (Some(i), Some(j)) = (la, lb) {
-            self.csr.minus_arc_pair_into(i, j, &mut scratch.csr);
-        } else {
-            scratch.csr.clone_from(&self.csr);
-        }
+        cut.sort_unstable();
+        self.csr.without_arcs_into(cut, csr);
         ForwardCtx {
-            csr: &scratch.csr,
-            norms: NormSource::Cached(&scratch.norms),
+            csr,
+            norms: NormSource::Cached(norms),
             schedule: Some(&self.schedule),
         }
     }
@@ -534,6 +527,15 @@ impl<'a> ForwardCtx<'a> {
         match self.norms {
             NormSource::Cached(n) => n.degrees(),
             NormSource::Degrees(d) => d,
+        }
+    }
+
+    /// Per-node `1 / (d + 1)` when the context carries cached
+    /// normalization vectors (every ball and ball variant does).
+    pub fn inv_deg(&self) -> Option<&'a [f64]> {
+        match self.norms {
+            NormSource::Cached(n) => Some(n.inv_deg()),
+            NormSource::Degrees(_) => None,
         }
     }
 
@@ -723,22 +725,71 @@ mod tests {
     }
 
     #[test]
-    fn minus_edge_ctx_matches_minus_edge() {
-        let g = path5();
-        let view = GraphView::full(&g);
-        let local = Locality::build(&view, 2, 2);
+    fn minus_edges_ctx_matches_the_explicit_variant_view() {
+        use crate::generators::{ensure_connected, stochastic_block_model};
+        let (mut g, _) = stochastic_block_model(&[7, 7, 7], 0.4, 0.08, 3);
+        ensure_connected(&mut g, 3);
+        let path = path5();
+        let edges = g.edge_vec();
+        // (graph, center, hops, removed edges)
+        type Case<'g> = (&'g Graph, usize, usize, Vec<(NodeId, NodeId)>);
+        let cases: Vec<Case<'_>> = vec![
+            // single removals: in-ball, boundary-crossing, fully outside
+            (&path, 2, 2, vec![(1, 2)]),
+            (&path, 2, 2, vec![(2, 3)]),
+            (&path, 1, 1, vec![(2, 3)]),
+            (&path, 0, 1, vec![(3, 4)]),
+            // nothing removed, and the whole path removed
+            (&path, 2, 2, vec![]),
+            (&path, 2, 4, vec![(0, 1), (2, 1), (2, 3), (4, 3)]),
+            // multi-edge sets on an SBM, both orientations, near and far
+            (&g, 0, 2, edges.iter().copied().step_by(3).take(5).collect()),
+            (
+                &g,
+                9,
+                1,
+                edges
+                    .iter()
+                    .map(|&(a, b)| (b, a))
+                    .step_by(4)
+                    .take(9)
+                    .collect(),
+            ),
+            (
+                &g,
+                20,
+                3,
+                edges.iter().copied().skip(1).step_by(2).collect(),
+            ),
+        ];
         let mut scratch = BallVariant::default();
-        // in-ball edge, boundary-crossing edge, and fully-outside pair
-        for &(a, b) in &[(1, 2), (2, 3), (0, 1), (3, 4), (90, 91)] {
-            let cloned = local.minus_edge(a, b);
-            let ctx = local.minus_edge_ctx(a, b, &mut scratch);
-            assert_eq!(ctx.csr(), cloned.csr(), "edge ({a},{b})");
-            assert_eq!(ctx.degrees(), cloned.degrees(), "edge ({a},{b})");
-            for r in 0..4 {
+        for (i, (graph, center, hops, removed)) in cases.into_iter().enumerate() {
+            let view = GraphView::full(graph);
+            let ball = Locality::build(&view, center, hops);
+            let set: EdgeSet = removed.iter().copied().collect();
+            let variant = GraphView::without(graph, &set);
+            let ctx = ball.minus_edges_ctx(&removed, &mut scratch);
+            assert_eq!(ctx.num_nodes(), ball.len(), "case {i}");
+            for (l, &u) in ball.nodes().iter().enumerate() {
+                // rows: the base rows minus the removed arcs, in order
+                let expected: Vec<usize> = ball
+                    .csr()
+                    .neighbors(l)
+                    .iter()
+                    .copied()
+                    .filter(|&m| !set.contains(u, ball.nodes()[m]))
+                    .collect();
+                assert_eq!(ctx.csr().neighbors(l), &expected[..], "case {i} row {u}");
+                // degrees: the variant view's true degrees
+                let degree = variant.neighbors(u).len() as f64;
+                assert_eq!(ctx.degrees()[l], degree, "case {i} degree of {u}");
+                assert_eq!(ctx.inv_deg().unwrap()[l], 1.0 / (degree + 1.0));
+            }
+            for r in 0..6 {
                 assert_eq!(
                     ctx.active_rows(r),
-                    cloned.forward_ctx().active_rows(r),
-                    "edge ({a},{b}) round {r}"
+                    ball.forward_ctx().active_rows(r),
+                    "case {i} round {r}"
                 );
             }
         }

@@ -7,12 +7,17 @@
 //! boundary cases (isolated node, edgeless view, receptive field covering the
 //! whole graph).
 //!
+//! Removal variants of one shared ball (the generator's removal base) are
+//! pinned against balls built on the explicit views the same way.
+//!
 //! APPNP's localized path gathers rows of a cached `H = f_theta(X)` instead of
 //! running its MLP, so the last three tests pin that cache against the full
 //! pass after a feature edit, after retraining a clone of a warmed model, and
 //! with one model alternating between two graphs.
 
-use robogexp::gnn::model::{localized_logits_row, margin_of_row};
+use robogexp::gnn::model::{
+    localized_logits_row, margin_of_row, removal_logits_into, removal_margins,
+};
 use robogexp::gnn::{Gat, GraphSage, KernelScratch, TrainConfig};
 use robogexp::graph::generators::{ensure_connected, stochastic_block_model};
 use robogexp::linalg::rng::Rng;
@@ -158,6 +163,89 @@ fn shared_ball_margin_batch_equals_per_view_margins() {
                             batched[i],
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn multi_removal_variants_equal_explicit_views() {
+    // The removal base answers every view `base \ removed` from one ball:
+    // each variant's center row must equal the row of a ball built on the
+    // explicit view, bit for bit, and so must every answer derived from it
+    // (predict_with, margin_with, removal_keeps_label, removal_margins) —
+    // for all four model families, from base views of all three kinds,
+    // with removal sets of every size up to six, near and far from v.
+    let mut scratch = KernelScratch::default();
+    let mut explicit_scratch = KernelScratch::default();
+    for seed in 0u64..4 {
+        let g = sbm_graph(seed);
+        let edges = g.edge_vec();
+        let witness: EdgeSet = edges.iter().copied().step_by(6).take(6).collect();
+        let bases = [
+            GraphView::full(&g),
+            GraphView::without(&g, &witness),
+            GraphView::restricted_to(&g, &edges.iter().copied().step_by(2).collect::<EdgeSet>()),
+        ];
+        for base in &bases {
+            let v = edges[1].1;
+            let visible: Vec<(NodeId, NodeId)> = edges
+                .iter()
+                .copied()
+                .filter(|&(a, b)| base.has_edge(a, b))
+                .collect();
+            // incident edges of v first, then the rest in a seeded stride
+            let mut pool: Vec<(NodeId, NodeId)> = visible
+                .iter()
+                .copied()
+                .filter(|&(a, b)| a == v || b == v)
+                .map(|(a, b)| if a == v { (a, b) } else { (b, a) })
+                .collect();
+            pool.extend(
+                visible
+                    .iter()
+                    .copied()
+                    .filter(|&(a, b)| a != v && b != v)
+                    .step_by(3 + seed as usize),
+            );
+            for (name, model) in models(seed) {
+                model.set_removal_base(v, base, &mut scratch);
+                let sets = (0..=pool.len().min(6))
+                    .flat_map(|size| [&pool[..size], &pool[pool.len() - size..]]);
+                for removed in sets {
+                    let mut explicit = base.clone();
+                    explicit.remove_edges(&removed.iter().copied().collect());
+                    let row = removal_logits_into(model.as_ref(), removed, &mut scratch).to_vec();
+                    assert_eq!(
+                        row,
+                        localized_logits_row(model.as_ref(), v, &explicit),
+                        "{name}: seed {seed}, without {removed:?}: variant row differs"
+                    );
+                    let predicted = model.predict_with(v, &explicit, &mut explicit_scratch);
+                    assert_eq!(predicted, Some(vector::argmax(&row)), "{name}: predict");
+                    for label in 0..model.num_classes() {
+                        assert!(
+                            model.margin_with(v, label, &explicit, &mut explicit_scratch)
+                                == margin_of_row(&row, label),
+                            "{name}: seed {seed}, without {removed:?}: margin({label})"
+                        );
+                        assert_eq!(
+                            model.removal_keeps_label(label, removed, &mut scratch),
+                            predicted == Some(label),
+                            "{name}: seed {seed}, without {removed:?}: keeps label {label}"
+                        );
+                    }
+                }
+                // single removals: the exact margins match explicit views
+                let margins = removal_margins(model.as_ref(), 1, &pool, &mut scratch);
+                for (i, &(a, b)) in pool.iter().enumerate() {
+                    let mut explicit = base.clone();
+                    explicit.remove_edge(a, b);
+                    assert!(
+                        margins[i] == model.margin_with(v, 1, &explicit, &mut explicit_scratch),
+                        "{name}: seed {seed}, without ({a},{b}): removal margin"
+                    );
                 }
             }
         }
