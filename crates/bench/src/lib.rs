@@ -11,6 +11,7 @@
 //! * **CF²** — factual + counterfactual baseline (re-implemented);
 //! * **CF-GNNExp** — counterfactual-only baseline (re-implemented).
 
+pub mod fingerprint;
 pub mod gate;
 pub mod replay;
 pub mod timing;

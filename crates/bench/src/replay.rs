@@ -118,14 +118,14 @@ pub fn rebase_epochs(base: u64, updates: &mut [WitnessUpdate]) {
 
 /// FNV-1a, 64-bit. Stable across platforms and runs — exactly the property
 /// the digests need (std's `DefaultHasher` is randomly keyed per process).
-struct Fnv(u64);
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -136,7 +136,7 @@ impl Fnv {
         self.write(&v.to_le_bytes());
     }
 
-    fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -24,8 +24,8 @@ use crate::verify::candidate_pairs_bounded;
 use crate::witness::{VerifyOutcome, Witness, WitnessLevel};
 use rcw_gnn::{GnnModel, KernelScratch};
 use rcw_graph::{
-    norm_edge, traversal::k_hop_neighborhood, AdjacencyBitmap, Edge, EdgeSubgraph, Graph,
-    GraphView, NodeId, VerifiedPairBitmap,
+    norm_edge, traversal::k_hop_neighborhood, Edge, EdgeSubgraph, Graph, GraphView, NodeId,
+    VerifiedPairBitmap,
 };
 use std::time::{Duration, Instant};
 
@@ -468,10 +468,12 @@ pub(crate) fn run_parallel<M: VerifiableModel + ?Sized>(
         ..ParallelStats::default()
     };
 
-    // Shared structures: adjacency bitmap (built once) and verified pairs.
-    let adjacency_bitmap = AdjacencyBitmap::from_graph(graph);
-    let mut verified_pairs = VerifiedPairBitmap::new(graph.num_nodes());
-    pstats.bytes_synchronized += adjacency_bitmap.byte_size();
+    // Shared structures: the verified pairs, and the §VI adjacency bitmap
+    // every worker receives (`n` rows of `⌈n/64⌉` words). Workers read the
+    // shared graph directly, so the bitmap is only counted, not built.
+    let n = graph.num_nodes();
+    let mut verified_pairs = VerifiedPairBitmap::new(n);
+    pstats.bytes_synchronized += n * n.div_ceil(64) * 8;
 
     // Inference-preserving partition: replicate the model's receptive field.
     // Cached across calls keyed by the graph's mutation epoch.

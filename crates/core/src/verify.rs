@@ -8,18 +8,22 @@
 //!   (small candidate sets — exact) or samples a configurable number of
 //!   random (k, b)-disturbances (large candidate sets — a sound "no" /
 //!   probabilistic "yes"). It always runs over an [`EngineCaches`] tier; a
-//!   fresh one gives the same verdict as a warm one. The tractable
-//!   APPNP-specific verifier lives in [`crate::verify_appnp`].
+//!   fresh one gives the same verdict as a warm one. Every disturbance it
+//!   checks is a flip variant of one ball per test node and base view
+//!   (`G` and `G \ G_w`), built once per call over the whole candidate
+//!   pool. The tractable APPNP-specific verifier lives in
+//!   [`crate::verify_appnp`].
 
 use crate::config::RcwConfig;
 use crate::engine::EngineCaches;
 use crate::witness::{VerifyOutcome, Witness, WitnessLevel};
-use rcw_gnn::{GnnModel, KernelScratch};
+use rcw_gnn::{ForwardScratch, GnnModel, KernelScratch, VariantBase};
 use rcw_graph::{
     disturbance::{enumerate_disturbances_up_to, random_disturbance_from},
     traversal::k_hop_neighborhood_multi,
-    Edge, EdgeSet, Graph, GraphView,
+    BallScratch, Edge, EdgeSet, Graph, GraphView,
 };
+use rcw_linalg::vector;
 use rcw_pagerank::PprCache;
 
 /// Teleport probability used by the PPR-weighted candidate pruning. A fixed
@@ -59,10 +63,13 @@ pub fn candidate_pairs_bounded(
     ppr: Option<&PprCache>,
 ) -> Vec<Edge> {
     let mut out: Vec<Edge> = Vec::new();
-    // Removal candidates: existing edges inside the neighborhood, unprotected.
-    for (u, v) in graph.edges() {
-        if hood.contains(&u) && hood.contains(&v) && !protected.contains(u, v) {
-            out.push((u, v));
+    // Removal candidates: existing edges inside the neighborhood,
+    // unprotected, read off the hood nodes' own adjacency.
+    for &u in hood {
+        for v in graph.neighbors(u) {
+            if u < v && hood.contains(&v) && !protected.contains(u, v) {
+                out.push((u, v));
+            }
         }
     }
     // Insertion candidates: non-edges between a test node and a nearby node.
@@ -259,13 +266,118 @@ pub(crate) fn disturbance_preserves_cw_with(
     (true, calls)
 }
 
+/// The flip bases of one [`verify_rcw`] call: for each test node one
+/// [`VariantBase`] on `G` and one on `G \ G_w`, each grown over every
+/// insertion the candidate pool offers, so every checked disturbance `D`
+/// reads `G ⊕ D` and `(G \ G_w) ⊕ D` as flip variants of them. A base is
+/// built the first time a check needs it.
+struct FlipBases<'a> {
+    model: &'a dyn GnnModel,
+    graph: &'a Graph,
+    witness: &'a Witness,
+    /// Pool pairs absent from `G`: every insertion a disturbance may make.
+    reach: Vec<Edge>,
+    /// `bases[2 i]` on `G`, `bases[2 i + 1]` on `G \ G_w`, for test node `i`.
+    bases: Vec<Option<VariantBase>>,
+    build: BallScratch,
+    fwd: ForwardScratch,
+    removed: Vec<Edge>,
+    inserted: Vec<Edge>,
+}
+
+impl<'a> FlipBases<'a> {
+    fn new(
+        model: &'a dyn GnnModel,
+        graph: &'a Graph,
+        witness: &'a Witness,
+        candidates: &[Edge],
+    ) -> Self {
+        FlipBases {
+            model,
+            graph,
+            witness,
+            reach: candidates
+                .iter()
+                .copied()
+                .filter(|&(u, v)| !graph.has_edge(u, v))
+                .collect(),
+            bases: (0..2 * witness.test_nodes.len()).map(|_| None).collect(),
+            build: BallScratch::default(),
+            fwd: ForwardScratch::default(),
+            removed: Vec::new(),
+            inserted: Vec::new(),
+        }
+    }
+
+    /// [`disturbance_preserves_cw`] over the bases: the same checks in the
+    /// same order, with the same early exits and inference count. The
+    /// candidate pool excludes the witness's edges, so each pair of `d` is
+    /// a removal on both base views when it is an edge of `G` and an
+    /// insertion on both otherwise.
+    fn preserves_cw(&mut self, d: &EdgeSet) -> (bool, usize) {
+        self.removed.clear();
+        self.inserted.clear();
+        for (u, v) in d.iter() {
+            debug_assert!(
+                !self.witness.edges().contains(u, v),
+                "flip of a witness edge"
+            );
+            if self.graph.has_edge(u, v) {
+                self.removed.push((u, v));
+            } else {
+                self.inserted.push((u, v));
+            }
+        }
+        let mut calls = 0;
+        for remainder in [false, true] {
+            for i in 0..self.witness.test_nodes.len() {
+                calls += 1;
+                let keeps = self.label(i, remainder) == self.witness.labels[i];
+                if keeps == remainder {
+                    return (false, calls);
+                }
+            }
+        }
+        (true, calls)
+    }
+
+    /// Test node `i`'s label on `G ⊕ D` (or `(G \ G_w) ⊕ D` when
+    /// `remainder`) for the current disturbance.
+    fn label(&mut self, i: usize, remainder: bool) -> usize {
+        let FlipBases {
+            model,
+            graph,
+            witness,
+            reach,
+            bases,
+            build,
+            fwd,
+            removed,
+            inserted,
+        } = self;
+        let base = bases[2 * i + usize::from(remainder)].get_or_insert_with(|| {
+            let view = if remainder {
+                GraphView::without(graph, witness.edges())
+            } else {
+                GraphView::full(graph)
+            };
+            let mut base = VariantBase::default();
+            base.rebuild(*model, witness.test_nodes[i], &view, reach, build);
+            base
+        });
+        vector::argmax(model.variant_logits_into(base, removed, inserted, fwd))
+    }
+}
+
 /// Model-agnostic k-RCW verification (`verifyRCW`).
 ///
 /// When the candidate-pair set is at most `cfg.exhaustive_limit`, every
 /// disturbance of size `1..=k` respecting the local budget is enumerated and
 /// the verdict is exact. Otherwise `cfg.sampled_disturbances` random
 /// (k, b)-disturbances are tested: a returned counterexample is always sound,
-/// while a "robust" verdict is probabilistic. The candidate neighborhood
+/// while a "robust" verdict is probabilistic. Each check reads its flipped
+/// views off the call's flip bases, bit-exact against
+/// [`disturbance_preserves_cw`] on explicitly flipped views. The candidate neighborhood
 /// comes from the hood cache and the pruning rows from the PPR cache, so
 /// steady-state re-verification pays neither BFS nor PPR; the pool is built
 /// only once the factual / counterfactual early exits have passed.
@@ -339,9 +451,10 @@ pub fn verify_rcw(
             .collect()
     };
 
+    let mut flips = FlipBases::new(model, graph, witness, &candidates);
     for d in disturbances {
         checked += 1;
-        let (ok, c) = disturbance_preserves_cw_with(model, graph, witness, &d, &mut scratch);
+        let (ok, c) = flips.preserves_cw(&d);
         calls += c;
         if !ok {
             return VerifyOutcome {

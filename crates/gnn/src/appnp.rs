@@ -31,7 +31,7 @@
 use crate::cache::EpochCache;
 use crate::model::{
     margin_of_row, one_hot_labels, pack_all, removal_logits_into, removal_margins, sized,
-    ForwardScratch, GnnModel, KernelScratch, RemovalBase,
+    ForwardScratch, GnnModel, KernelScratch, VariantBase,
 };
 use crate::train::{Adam, TrainConfig, TrainReport};
 use rcw_graph::{Csr, Edge, ForwardCtx, Graph, GraphView, NodeId};
@@ -296,7 +296,7 @@ impl Appnp {
     /// for the rounding of the margin and gap subtractions, plus
     /// `(1 + A) * MIN_POSITIVE` for subnormal underflow (each of fewer than
     /// `2^50` roundings loses at most `2^-1075`).
-    fn walk_bound(&self, removal: &mut RemovalBase) -> Option<f64> {
+    fn walk_bound(&self, removal: &mut VariantBase) -> Option<f64> {
         let bound = *removal.bound.get_or_insert_with(|| {
             let h = removal.inputs.data();
             if h.iter().any(|x| !x.is_finite()) {
@@ -321,15 +321,16 @@ impl Appnp {
     /// `s` gathers `r_s = r_{s-1} P'` over the rows within `s` hops (outside
     /// them `r_s` is zero): `r_s[x] = q[x] + sum_{y in N(x)} q[y]` with
     /// `q = r_{s-1} / (d + 1)`.
-    fn walk_logits<'s>(&self, removed: &[Edge], removal: &'s mut RemovalBase) -> &'s [f64] {
-        let RemovalBase {
+    fn walk_logits<'s>(&self, removed: &[Edge], removal: &'s mut VariantBase) -> &'s [f64] {
+        let VariantBase {
             ball,
             inputs,
             variant,
             walk,
             ..
         } = removal;
-        let ctx = ball.minus_edges_ctx(removed, variant);
+        variant.derive(ball, removed, &[]);
+        let ctx = variant.ctx(ball);
         let inv_deg = ctx.inv_deg().expect("ball variants cache their norms");
         let csr = ctx.csr();
         let n = ctx.num_nodes();
@@ -374,7 +375,7 @@ impl Appnp {
     /// The top class of the walk-weight logits when it leads the runner-up
     /// by more than twice the per-logit bound: the exact forward's argmax is
     /// then the same class. `None` means "run the exact forward".
-    fn certified_top(&self, removed: &[Edge], removal: &mut RemovalBase) -> Option<usize> {
+    fn certified_top(&self, removed: &[Edge], removal: &mut VariantBase) -> Option<usize> {
         let bound = self.walk_bound(removal)?;
         let z = self.walk_logits(removed, removal);
         let top = vector::argmax(z);

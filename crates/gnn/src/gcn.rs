@@ -6,10 +6,18 @@
 //! layers and identity on the output layer (logits). Training is full-batch
 //! gradient descent with Adam on the cross-entropy of the training nodes —
 //! sufficient for the synthetic datasets and fully deterministic.
+//!
+//! Inference has one forward loop (`Gcn::forward_rows`): each layer
+//! computes the rows it is given and writes no others. A full pass gives it
+//! the schedule's active rows. A variant of a stored base (an edge flip of
+//! the base view) gives it only the rows a changed endpoint reaches, over
+//! buffers that hold the base's per-layer outputs; every other row keeps the
+//! base value, which the same row kernels computed in the same order, so the
+//! variant's logits are bit-exact by construction.
 
-use crate::model::{one_hot_labels, pack_all, sized, ForwardScratch, GnnModel};
+use crate::model::{one_hot_labels, pack_all, sized, ForwardScratch, GnnModel, VariantBase};
 use crate::train::{Adam, TrainConfig, TrainReport};
-use rcw_graph::{Csr, CsrNorms, ForwardCtx, GraphView, NodeId};
+use rcw_graph::{Csr, CsrNorms, Edge, ForwardCtx, GraphView, NodeId};
 use rcw_linalg::{init, matmul_packed_rows, vector, Activation, Matrix, PackedWeights};
 
 /// A GCN with an arbitrary number of layers.
@@ -73,34 +81,83 @@ impl Gcn {
         &self.weights
     }
 
-    /// The zero-allocation forward kernel behind both trait entry points:
-    /// activations ping-pong through the scratch and the logits end up in
-    /// `s.a`, returned as a borrowed `n x num_classes` row-major slice.
+    /// The zero-allocation full pass behind both trait entry points: every
+    /// layer computes the schedule's active rows into its own buffer in
+    /// `s.layers` (zero-filled first, so unscheduled rows read zero), and
+    /// the logits are returned as a borrowed `n x num_classes` row-major
+    /// slice.
     fn forward_scratch<'s>(
         &self,
         ctx: &ForwardCtx<'_>,
         x: &Matrix,
         s: &'s mut ForwardScratch,
     ) -> &'s [f64] {
-        let n = x.rows();
+        self.size_layers(&mut s.layers, x.rows());
+        let last = self.weights_p.len() - 1;
+        self.forward_rows(
+            ctx,
+            x.data(),
+            x.cols(),
+            |i| ctx.active_rows(last - i),
+            &mut s.b,
+            &mut s.layers,
+        )
+    }
+
+    /// Resizes `layers` to one zero-filled `n x width` buffer per layer.
+    fn size_layers(&self, layers: &mut Vec<Vec<f64>>, n: usize) {
+        layers.resize_with(self.weights_p.len(), Vec::new);
+        for (buf, wp) in layers.iter_mut().zip(&self.weights_p) {
+            sized(buf, n * wp.cols());
+        }
+    }
+
+    /// The one forward loop: layer `i` computes the rows `rows(i)` lists
+    /// (`None` = every row) of `act(A_norm X_{i-1} W_i)` into `outs[i]`,
+    /// reading `X_{i-1}` from `outs[i - 1]` (from `x`, `x_cols` wide, for
+    /// layer 0) and aggregating through `agg`. Rows it is not given are
+    /// never written, so `outs` may hold the outputs of an earlier pass
+    /// that the listed rows update. Returns the last layer's buffer.
+    fn forward_rows<'o, 'r>(
+        &self,
+        ctx: &ForwardCtx<'_>,
+        x: &[f64],
+        x_cols: usize,
+        rows: impl Fn(usize) -> Option<&'r [usize]>,
+        agg: &mut Vec<f64>,
+        outs: &'o mut [Vec<f64>],
+    ) -> &'o [f64] {
+        let n = ctx.num_nodes();
         let layers = self.weights_p.len();
-        s.a.clear();
-        s.a.extend_from_slice(x.data());
-        let mut dim = x.cols();
+        let mut dim = x_cols;
         for (i, wp) in self.weights_p.iter().enumerate() {
-            let rows = ctx.active_rows(layers - 1 - i);
+            let rows = rows(i);
             let od = wp.cols();
-            ctx.spmm_sym(&s.a, dim, sized(&mut s.b, n * dim), rows);
-            matmul_packed_rows(&s.b, dim, wp, sized(&mut s.c, n * od), rows, false);
+            let (done, rest) = outs.split_at_mut(i);
+            let input: &[f64] = if i == 0 { x } else { &done[i - 1] };
+            let out = &mut rest[0];
+            // every row the product reads is one the SpMM writes, so the
+            // buffer only grows and is never cleared
+            if agg.len() < n * dim {
+                agg.resize(n * dim, 0.0);
+            }
+            let agg = &mut agg[..n * dim];
+            ctx.spmm_sym(input, dim, agg, rows);
+            matmul_packed_rows(agg, dim, wp, out, rows, false);
             if i + 1 != layers {
-                for v in s.c.iter_mut() {
-                    *v = self.activation.apply(*v);
+                let mut act = |u: usize| {
+                    for v in &mut out[u * od..(u + 1) * od] {
+                        *v = self.activation.apply(*v);
+                    }
+                };
+                match rows {
+                    None => (0..n).for_each(&mut act),
+                    Some(rows) => rows.iter().copied().for_each(&mut act),
                 }
             }
-            std::mem::swap(&mut s.a, &mut s.c);
             dim = od;
         }
-        &s.a
+        &outs[layers - 1]
     }
 
     fn sym_norm_spmm(csr: &Csr, norms: &CsrNorms, x: &Matrix) -> Matrix {
@@ -232,7 +289,8 @@ impl GnnModel for Gcn {
     fn forward(&self, ctx: &ForwardCtx<'_>, x: &Matrix) -> Matrix {
         let mut s = ForwardScratch::default();
         self.forward_scratch(ctx, x, &mut s);
-        Matrix::from_vec(x.rows(), self.num_classes(), s.a)
+        let logits = s.layers.pop().expect("at least one layer");
+        Matrix::from_vec(x.rows(), self.num_classes(), logits)
     }
 
     fn forward_into<'s>(
@@ -242,6 +300,155 @@ impl GnnModel for Gcn {
         scratch: &'s mut ForwardScratch,
     ) -> &'s [f64] {
         self.forward_scratch(ctx, x, scratch)
+    }
+
+    /// The delta forward. The first variant of a base runs the full pass
+    /// over the base ball and keeps every layer's output; each variant after
+    /// it restores the rows the previous one wrote and recomputes only its
+    /// dirty rows (see `LayerCache::mark_dirty`) over the variant's compute
+    /// graph. A variant that touches no ball node is the base itself.
+    fn variant_logits_into<'s>(
+        &self,
+        base: &'s mut VariantBase,
+        removed: &[Edge],
+        inserted: &[Edge],
+        fwd: &'s mut ForwardScratch,
+    ) -> &'s [f64] {
+        let VariantBase {
+            ball,
+            inputs,
+            variant,
+            layers: cache,
+            ..
+        } = base;
+        let last = self.weights_p.len() - 1;
+        let k = self.num_classes();
+        let center = ball.center_index();
+        if !cache.ready {
+            let ctx = ball.forward_ctx();
+            self.size_layers(&mut cache.work, ball.len());
+            self.forward_rows(
+                &ctx,
+                inputs.data(),
+                inputs.cols(),
+                |i| ctx.active_rows(last - i),
+                &mut fwd.b,
+                &mut cache.work,
+            );
+            cache.dirty.resize_with(last + 1, Vec::new);
+            cache.saved.resize_with(last + 1, Vec::new);
+            cache.rows = ball.len();
+            cache.ready = true;
+        }
+        cache.restore();
+        variant.derive(ball, removed, inserted);
+        if variant.changed().is_empty() {
+            return &cache.work[last][center * k..(center + 1) * k];
+        }
+        let ctx = variant.ctx(ball);
+        cache.mark_dirty(ball.csr(), &ctx, variant.changed());
+        cache.save();
+        let LayerCache { work, dirty, .. } = cache;
+        let z = self.forward_rows(
+            &ctx,
+            inputs.data(),
+            inputs.cols(),
+            |i| Some(&dirty[i][..]),
+            &mut fwd.b,
+            work,
+        );
+        &z[center * k..(center + 1) * k]
+    }
+}
+
+/// What [`Gcn`]'s delta forward keeps per [`VariantBase`]: the base pass's
+/// per-layer outputs with the last variant's rows written over them, the
+/// base values of those rows, and which rows they are.
+#[derive(Debug, Default)]
+pub(crate) struct LayerCache {
+    /// Whether `work` holds the base pass of the current ball.
+    ready: bool,
+    /// Rows of the current ball.
+    rows: usize,
+    /// Per layer, the base pass's `n x width` output, with the last
+    /// variant's dirty rows overwritten.
+    work: Vec<Vec<f64>>,
+    /// Per layer, the base values of the last variant's dirty rows, in
+    /// `dirty` order.
+    saved: Vec<Vec<f64>>,
+    /// Per layer, the rows the last variant recomputed.
+    dirty: Vec<Vec<usize>>,
+    /// Per-row visit stamps of [`LayerCache::mark_dirty`].
+    stamp: Vec<u64>,
+    epoch: u64,
+}
+
+impl LayerCache {
+    /// Drops the base pass (a new base ball was built).
+    pub(crate) fn invalidate(&mut self) {
+        self.ready = false;
+        self.dirty.iter_mut().for_each(Vec::clear);
+        self.saved.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Copies the base values back over the rows the last variant wrote.
+    fn restore(&mut self) {
+        for ((work, saved), dirty) in self
+            .work
+            .iter_mut()
+            .zip(&mut self.saved)
+            .zip(&mut self.dirty)
+        {
+            let width = work.len() / self.rows;
+            for (row, &u) in saved.chunks_exact(width).zip(dirty.iter()) {
+                work[u * width..(u + 1) * width].copy_from_slice(row);
+            }
+            saved.clear();
+            dirty.clear();
+        }
+    }
+
+    /// Saves the base values of the rows the next variant will write.
+    fn save(&mut self) {
+        for ((work, saved), dirty) in self.work.iter().zip(&mut self.saved).zip(&self.dirty) {
+            let width = work.len() / self.rows;
+            for &u in dirty {
+                saved.extend_from_slice(&work[u * width..(u + 1) * width]);
+            }
+        }
+    }
+
+    /// The rows each layer must recompute for a variant whose flips change
+    /// the rows `changed` (their adjacency or degree). A row's output reads
+    /// its own and its neighbors' degrees and previous-layer values. So
+    /// layer 0's dirty rows are the active rows that are a changed row or a
+    /// base-ball neighbor of one, and layer `i`'s are the active rows that
+    /// were dirty at layer `i - 1` or neighbor a row that was. Base-ball
+    /// neighbors cover the variant's too: a pair the variant inserts joins
+    /// two changed rows, and active rows only shrink from layer to layer,
+    /// so a changed row stays dirty while it is active. Every row left out
+    /// reads exactly what it read in the base pass and keeps its base value.
+    fn mark_dirty(&mut self, base: &Csr, ctx: &ForwardCtx<'_>, changed: &[usize]) {
+        if self.stamp.len() < self.rows {
+            self.stamp.resize(self.rows, 0);
+        }
+        let layers = self.dirty.len();
+        for i in 0..layers {
+            self.epoch += 1;
+            let e = self.epoch;
+            let remaining = layers - 1 - i;
+            let (prev, cur) = self.dirty.split_at_mut(i);
+            let seeds = if i == 0 { changed } else { &prev[i - 1][..] };
+            let cur = &mut cur[0];
+            for &u in seeds {
+                for w in std::iter::once(u).chain(base.neighbors(u).iter().copied()) {
+                    if self.stamp[w] != e && ctx.is_active(w, remaining) {
+                        self.stamp[w] = e;
+                        cur.push(w);
+                    }
+                }
+            }
+        }
     }
 }
 

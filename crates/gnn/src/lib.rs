@@ -27,7 +27,7 @@ pub use appnp::Appnp;
 pub use cache::EpochCache;
 pub use gat::Gat;
 pub use gcn::Gcn;
-pub use model::{accuracy, one_hot_labels, ForwardScratch, GnnModel, KernelScratch};
+pub use model::{accuracy, one_hot_labels, ForwardScratch, GnnModel, KernelScratch, VariantBase};
 pub use sage::GraphSage;
 pub use train::{train_test_split, Adam, TrainConfig, TrainReport};
 

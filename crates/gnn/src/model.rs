@@ -15,14 +15,19 @@
 //! bit-exact (same floats, same argmax) and orders of magnitude cheaper on
 //! graphs larger than the receptive field.
 //!
-//! The removal-variant queries ([`GnnModel::set_removal_base`] and the
-//! methods after it) serve witness generation, which evaluates many views
-//! that differ from one base view only by removed edges: they build the
-//! base's ball once and answer each view from a variant of it. Their
-//! defaults run the exact forward; a model may override the answers with a
-//! cheaper computation that provably agrees (APPNP's walk weights).
+//! The variant queries serve witness generation and verification, which
+//! evaluate many views that differ from one base view by a few flipped
+//! edges. A [`VariantBase`] builds the base's ball once and answers each
+//! view from a variant of it ([`GnnModel::variant_logits_into`]):
+//! generation removes edges from one remainder
+//! ([`GnnModel::set_removal_base`] and the methods after it), and
+//! verification flips ≤k pairs of a candidate pool on `G` and on `G \ G_w`.
+//! The defaults run the exact forward over the variant; a model may answer
+//! from a cheaper computation that provably agrees (GCN's delta forward,
+//! APPNP's walk weights).
 
 use crate::appnp::WalkScratch;
+use crate::gcn::LayerCache;
 use rcw_graph::{
     BallScratch, BallVariant, Csr, CsrNorms, Edge, ForwardCtx, Graph, GraphView, Locality, NodeId,
 };
@@ -31,8 +36,9 @@ use rcw_linalg::{vector, Matrix, PackedWeights};
 /// Reusable per-layer working buffers for the zero-allocation forward paths.
 ///
 /// Models thread these through `forward_into`: activations ping-pong between
-/// `a`/`b`/`c`/`d`, the GAT attention pass borrows `src`/`dst`/`nbrs`/`att`,
-/// and the trait-default `forward_into` fallback copies into `out`. Buffers
+/// `a`/`b`/`c`/`d` (GCN keeps one output buffer per layer in `layers`), the
+/// GAT attention pass borrows `src`/`dst`/`nbrs`/`att`, and the
+/// trait-default `forward_into` fallback copies into `out`. Buffers
 /// only ever grow, so a scratch reused across calls stops allocating once it
 /// has seen the largest ball.
 #[derive(Debug, Default)]
@@ -45,6 +51,7 @@ pub struct ForwardScratch {
     pub(crate) dst: Vec<f64>,
     pub(crate) nbrs: Vec<usize>,
     pub(crate) att: Vec<f64>,
+    pub(crate) layers: Vec<Vec<f64>>,
     out: Vec<f64>,
 }
 
@@ -65,7 +72,7 @@ pub(crate) fn pack_all(weights: &[Matrix]) -> Vec<PackedWeights> {
 /// All working memory a localized inference query needs: the receptive-field
 /// ball and its BFS scratch, the ball's input rows
 /// ([`GnnModel::local_inputs_into`]), the per-layer forward buffers, and the
-/// removal base of the removal-variant queries
+/// [`VariantBase`] of the removal-variant queries
 /// ([`GnnModel::set_removal_base`]). One `KernelScratch` per worker makes
 /// `predict_with` and the removal-variant queries allocation-free in steady
 /// state; results are bit-identical to the allocating entry points.
@@ -75,7 +82,7 @@ pub struct KernelScratch {
     pub(crate) build: BallScratch,
     pub(crate) inputs: Matrix,
     pub(crate) fwd: ForwardScratch,
-    pub(crate) removal: RemovalBase,
+    pub(crate) removal: VariantBase,
 }
 
 impl Default for KernelScratch {
@@ -85,35 +92,65 @@ impl Default for KernelScratch {
             build: BallScratch::default(),
             inputs: Matrix::zeros(0, 0),
             fwd: ForwardScratch::default(),
-            removal: RemovalBase::default(),
+            removal: VariantBase::default(),
         }
     }
 }
 
-/// The removal base of a [`KernelScratch`]: one receptive-field ball built
-/// on a base view, its input rows, the scratch every removal variant is
-/// derived into, and what a model answering from an approximation keeps per
-/// base (APPNP's walk buffers and certified error bound).
+/// One base of the variant queries: the receptive-field ball of one node
+/// on a base view, its input rows, the scratch each flip variant is derived
+/// into, and what a model answering from its own computation keeps per base
+/// (GCN's per-layer base outputs, APPNP's walk buffers and certified error
+/// bound). Built by [`VariantBase::rebuild`]; every view it answers is the
+/// base view with a few edges removed or inserted
+/// ([`GnnModel::variant_logits_into`]).
 #[derive(Debug)]
-pub(crate) struct RemovalBase {
+pub struct VariantBase {
     pub(crate) ball: Locality,
     pub(crate) inputs: Matrix,
     pub(crate) variant: BallVariant,
+    pub(crate) layers: LayerCache,
     pub(crate) walk: WalkScratch,
     /// Per-logit error bound of the approximate answers over this base,
     /// derived lazily by the model; `None` until then.
     pub(crate) bound: Option<f64>,
 }
 
-impl Default for RemovalBase {
+impl Default for VariantBase {
     fn default() -> Self {
-        RemovalBase {
+        VariantBase {
             ball: Locality::default(),
             inputs: Matrix::zeros(0, 0),
             variant: BallVariant::default(),
+            layers: LayerCache::default(),
             walk: WalkScratch::default(),
             bound: None,
         }
+    }
+}
+
+impl VariantBase {
+    /// Makes this the base of `v` on `view` for `model`: `v`'s
+    /// receptive-field ball, grown by [`Locality::rebuild_reaching`] over
+    /// the `reach` pairs so that it serves every variant inserting a subset
+    /// of them, and the ball's input rows. Whatever a model derived from
+    /// the previous base is dropped.
+    ///
+    /// # Panics
+    /// Panics if `v` or a `reach` endpoint is not a node of the view.
+    pub fn rebuild<M: GnnModel + ?Sized>(
+        &mut self,
+        model: &M,
+        v: NodeId,
+        view: &GraphView<'_>,
+        reach: &[Edge],
+        build: &mut BallScratch,
+    ) {
+        self.ball
+            .rebuild_reaching(view, v, model.receptive_hops(), reach, build);
+        model.local_inputs_into(view.graph(), self.ball.nodes(), &mut self.inputs);
+        self.layers.invalidate();
+        self.bound = None;
     }
 }
 
@@ -305,7 +342,7 @@ pub trait GnnModel: Send + Sync {
     /// removal-variant query after it ([`GnnModel::removal_keeps_label`],
     /// [`GnnModel::removal_ranking_keys`], [`removal_logits_into`],
     /// [`removal_margins`]) evaluates a view `base \ removed` as a variant of
-    /// that ball ([`Locality::minus_edges_ctx`]) instead of building a ball
+    /// that ball ([`GnnModel::variant_logits_into`]) instead of building a ball
     /// of its own. The removal base lives beside the buffers of
     /// [`GnnModel::predict_with`], so the two kinds of query interleave
     /// freely.
@@ -314,15 +351,38 @@ pub trait GnnModel: Send + Sync {
     /// Panics if `v` is not a node of the view.
     fn set_removal_base(&self, v: NodeId, base: &GraphView<'_>, scratch: &mut KernelScratch) {
         let KernelScratch { build, removal, .. } = scratch;
-        removal.ball.rebuild(base, v, self.receptive_hops(), build);
-        self.local_inputs_into(base.graph(), removal.ball.nodes(), &mut removal.inputs);
-        removal.bound = None;
+        removal.rebuild(self, v, base, &[], build);
+    }
+
+    /// The logits row of `base`'s center on its base view with `removed`
+    /// deleted and `inserted` added, under [`BallVariant::derive`]'s
+    /// contract; the row borrows `base` or `fwd`. The default derives the
+    /// variant and runs the exact forward over it. An override may compute
+    /// the row another way, but must return the same bits.
+    fn variant_logits_into<'s>(
+        &self,
+        base: &'s mut VariantBase,
+        removed: &[Edge],
+        inserted: &[Edge],
+        fwd: &'s mut ForwardScratch,
+    ) -> &'s [f64] {
+        let VariantBase {
+            ball,
+            inputs,
+            variant,
+            ..
+        } = base;
+        variant.derive(ball, removed, inserted);
+        let z = self.forward_local_into(&variant.ctx(ball), inputs, fwd);
+        let k = self.num_classes();
+        let center = ball.center_index();
+        &z[center * k..(center + 1) * k]
     }
 
     /// Whether the removal base's center `v` keeps `label` on the base view
     /// without `removed`: `predict(v, base \ removed) == Some(label)`.
-    /// `removed` must satisfy [`Locality::minus_edges_ctx`]'s contract
-    /// (distinct edges, each visible in the base view).
+    /// `removed` must satisfy [`BallVariant::derive`]'s contract (distinct
+    /// edges, each visible in the base view).
     ///
     /// The default runs the exact forward over the variant
     /// ([`removal_logits_into`]). An override may answer from a cheaper
@@ -414,21 +474,17 @@ pub fn localized_logits_into<'s, M: GnnModel + ?Sized>(
 }
 
 /// The removal base center's logits row over the base view without
-/// `removed`, by the exact forward over the ball variant
-/// ([`Locality::minus_edges_ctx`], same contract). Bit-exact against
-/// [`localized_logits_row`] on the explicitly built view; the row borrows
-/// the scratch. Requires a prior [`GnnModel::set_removal_base`].
+/// `removed` ([`GnnModel::variant_logits_into`], [`BallVariant::derive`]'s
+/// contract). Bit-exact against [`localized_logits_row`] on the explicitly
+/// built view; the row borrows the scratch. Requires a prior
+/// [`GnnModel::set_removal_base`].
 pub fn removal_logits_into<'s, M: GnnModel + ?Sized>(
     model: &M,
     removed: &[Edge],
     scratch: &'s mut KernelScratch,
 ) -> &'s [f64] {
     let KernelScratch { removal, fwd, .. } = scratch;
-    let ctx = removal.ball.minus_edges_ctx(removed, &mut removal.variant);
-    let z = model.forward_local_into(&ctx, &removal.inputs, fwd);
-    let k = model.num_classes();
-    let center = removal.ball.center_index();
-    &z[center * k..(center + 1) * k]
+    model.variant_logits_into(removal, removed, &[], fwd)
 }
 
 /// Exact margins towards `label` of the removal base's center without each

@@ -1,13 +1,14 @@
 //! Bitmap encodings used by the parallel generator.
 //!
 //! §VI of the paper compresses each adjacency-matrix row into a bitmap so all
-//! workers can share the graph structure cheaply, and uses a second bitmap to
-//! record which disturbances have already been verified so that the
-//! coordinator does not re-verify them ("does not repeat the verified local
-//! ones").
+//! workers can share the graph structure cheaply (the parallel session counts
+//! those `n` rows in its synchronized bytes; its workers read the shared
+//! graph itself), and uses a second bitmap to record which disturbances have
+//! already been verified so that the coordinator does not re-verify them
+//! ("does not repeat the verified local ones").
 
 use crate::edge::{norm_edge, Edge};
-use crate::graph::{Graph, NodeId};
+use crate::graph::NodeId;
 
 /// A fixed-length bitset.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -79,47 +80,6 @@ impl Bitmap {
     /// Serialized size in bytes (for the parallel algorithm's communication-cost model).
     pub fn byte_size(&self) -> usize {
         self.words.len() * 8
-    }
-}
-
-/// A per-row bitmap encoding of an adjacency matrix (the paper's compressed
-/// encoding `B` shared by all fragments).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AdjacencyBitmap {
-    n: usize,
-    rows: Vec<Bitmap>,
-}
-
-impl AdjacencyBitmap {
-    /// Builds the bitmap encoding of a graph's adjacency matrix.
-    pub fn from_graph(graph: &Graph) -> Self {
-        let n = graph.num_nodes();
-        let mut rows = vec![Bitmap::new(n); n];
-        for (u, v) in graph.edges() {
-            rows[u].set(v, true);
-            rows[v].set(u, true);
-        }
-        AdjacencyBitmap { n, rows }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the encoded graph has edge `(u, v)`.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        u < self.n && v < self.n && self.rows[u].get(v)
-    }
-
-    /// Degree of `u` in the encoded graph.
-    pub fn degree(&self, u: NodeId) -> usize {
-        self.rows[u].count_ones()
-    }
-
-    /// Total serialized size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.rows.iter().map(|r| r.byte_size()).sum()
     }
 }
 
@@ -227,20 +187,6 @@ mod tests {
         assert!(a.get(3) && a.get(69));
         assert_eq!(a.count_ones(), 2);
         assert_eq!(a.byte_size(), 16);
-    }
-
-    #[test]
-    fn adjacency_bitmap_mirrors_graph() {
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(0, 1);
-        g.add_edge(2, 3);
-        let ab = AdjacencyBitmap::from_graph(&g);
-        assert_eq!(ab.num_nodes(), 4);
-        assert!(ab.has_edge(1, 0));
-        assert!(ab.has_edge(2, 3));
-        assert!(!ab.has_edge(0, 2));
-        assert_eq!(ab.degree(0), 1);
-        assert!(ab.byte_size() >= 4);
     }
 
     #[test]

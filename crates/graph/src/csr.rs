@@ -87,6 +87,16 @@ impl CsrNorms {
         self.inv_deg[u] = 1.0 / (d + 1.0);
     }
 
+    /// Increments node `u`'s degree by one and recomputes its derived values
+    /// (used when an edge incident to `u` is inserted into the ball).
+    #[inline]
+    pub fn increment(&mut self, u: usize) {
+        let d = self.degrees[u] + 1.0;
+        self.degrees[u] = d;
+        self.inv_sqrt[u] = 1.0 / (d + 1.0).sqrt();
+        self.inv_deg[u] = 1.0 / (d + 1.0);
+    }
+
     /// Clears all vectors, keeping capacity (scratch-reuse rebuild).
     pub(crate) fn clear(&mut self) {
         self.degrees.clear();
@@ -177,27 +187,55 @@ impl Csr {
         row.binary_search(&v).ok().map(|i| self.offsets[u] + i)
     }
 
-    /// Copies this CSR into `out` without the arcs at positions `cut` of the
-    /// target array (ascending, distinct), reusing `out`'s allocations. The
-    /// surviving runs are bulk-copied and each row offset shifts by the
-    /// number of cut arcs before it, so every surviving arc keeps its
-    /// neighbor order and downstream floating-point reductions stay
-    /// bit-stable.
-    pub(crate) fn without_arcs_into(&self, cut: &[usize], out: &mut Csr) {
+    /// Position an absent arc `u -> v` would take in the target array: the
+    /// end of the run of `u`'s neighbors below `v`.
+    pub(crate) fn insert_position(&self, u: NodeId, v: NodeId) -> usize {
+        self.offsets[u] + self.neighbors(u).partition_point(|&t| t < v)
+    }
+
+    /// Copies this CSR into `out` edited by two arc lists, reusing `out`'s
+    /// allocations: the arcs at target-array positions `cut` (ascending,
+    /// distinct) are dropped, and each `(position, row, target)` of
+    /// `inserted` (ascending) is placed before the arc now at `position`,
+    /// which must be its sorted place in `row` ([`Csr::insert_position`]).
+    /// The untouched runs are bulk-copied and each row offset shifts by the
+    /// cuts before it and the insertions into earlier rows, so every
+    /// surviving arc keeps its neighbor order and downstream floating-point
+    /// reductions stay bit-stable.
+    pub(crate) fn edited_into(
+        &self,
+        cut: &[usize],
+        inserted: &[(usize, usize, usize)],
+        out: &mut Csr,
+    ) {
         out.targets.clear();
-        let mut from = 0;
-        for &p in cut {
-            out.targets.extend_from_slice(&self.targets[from..p]);
-            from = p + 1;
+        let (mut from, mut c, mut i) = (0, 0, 0);
+        while i < inserted.len() || c < cut.len() {
+            // an insertion at position p goes before a cut of the arc at p
+            let p = inserted.get(i).map_or(usize::MAX, |t| t.0);
+            let q = cut.get(c).copied().unwrap_or(usize::MAX);
+            if p <= q {
+                out.targets.extend_from_slice(&self.targets[from..p]);
+                out.targets.push(inserted[i].2);
+                from = p;
+                i += 1;
+            } else {
+                out.targets.extend_from_slice(&self.targets[from..q]);
+                from = q + 1;
+                c += 1;
+            }
         }
         out.targets.extend_from_slice(&self.targets[from..]);
         out.offsets.clear();
-        let mut before = 0;
-        for &o in &self.offsets {
-            while before < cut.len() && cut[before] < o {
-                before += 1;
+        let (mut cuts_before, mut inserts_before) = (0, 0);
+        for (u, &o) in self.offsets.iter().enumerate() {
+            while cuts_before < cut.len() && cut[cuts_before] < o {
+                cuts_before += 1;
             }
-            out.offsets.push(o - before);
+            while inserts_before < inserted.len() && inserted[inserts_before].1 < u {
+                inserts_before += 1;
+            }
+            out.offsets.push(o - cuts_before + inserts_before);
         }
     }
 
@@ -274,8 +312,9 @@ impl Csr {
     /// The explicit degrees let an induced receptive-field subgraph normalize
     /// with the *host view's* true degrees, which is what makes localized
     /// inference bit-exact. When `rows` is given, only those output rows are
-    /// computed (the rest stay zero); input rows outside the schedule are
-    /// still read, so callers must ensure they hold valid values.
+    /// written (the rest keep whatever they held); input rows outside the
+    /// schedule are still read, so callers must ensure they hold valid
+    /// values.
     ///
     /// Rebuilds the normalization vectors on every call; hot paths should
     /// cache a [`CsrNorms`] and call [`Csr::spmm_sym_norm_cached`] instead.
@@ -296,7 +335,9 @@ impl Csr {
     /// column counts), self-loop term split out, normalization read from a
     /// cached [`CsrNorms`]. Bit-identical to [`Csr::spmm_sym_norm_deg_ref`]:
     /// each output element is the same self-loop-first, neighbor-order
-    /// accumulation chain starting from `0.0`.
+    /// accumulation chain starting from `0.0`. With a row schedule only the
+    /// listed rows are written: a delta pass over buffers that hold a base
+    /// pass's rows relies on every other row keeping its value.
     pub fn spmm_sym_norm_cached(
         &self,
         norms: &CsrNorms,
@@ -309,10 +350,6 @@ impl Csr {
         assert_eq!(norms.len(), n, "spmm: degree vector size mismatch");
         assert_eq!(x.len(), n * dim, "spmm: input size mismatch");
         assert_eq!(out.len(), n * dim, "spmm: output size mismatch");
-        if rows.is_some() {
-            // scheduled calls leave unscheduled rows zero, like the reference
-            out.fill(0.0);
-        }
         dispatch_dim!(self, sym_rows, sym_rows_dyn, norms, x, dim, out, rows)
     }
 
@@ -332,8 +369,8 @@ impl Csr {
         assert_eq!(x.len(), n * dim, "spmm: input size mismatch");
         assert_eq!(out.len(), n * dim, "spmm: output size mismatch");
         let inv_sqrt: Vec<f64> = degrees.iter().map(|d| 1.0 / (d + 1.0).sqrt()).collect();
-        out.fill(0.0);
         let mut row = |u: usize| {
+            out[u * dim..(u + 1) * dim].fill(0.0);
             let du = inv_sqrt[u];
             // self-loop contribution
             for c in 0..dim {
@@ -388,9 +425,6 @@ impl Csr {
         assert_eq!(norms.len(), n, "spmm: degree vector size mismatch");
         assert_eq!(x.len(), n * dim, "spmm: input size mismatch");
         assert_eq!(out.len(), n * dim, "spmm: output size mismatch");
-        if rows.is_some() {
-            out.fill(0.0);
-        }
         dispatch_dim!(self, row_rows, row_rows_dyn, norms, x, dim, out, rows)
     }
 
@@ -408,8 +442,8 @@ impl Csr {
         assert_eq!(degrees.len(), n, "spmm: degree vector size mismatch");
         assert_eq!(x.len(), n * dim, "spmm: input size mismatch");
         assert_eq!(out.len(), n * dim, "spmm: output size mismatch");
-        out.fill(0.0);
         let mut row = |u: usize| {
+            out[u * dim..(u + 1) * dim].fill(0.0);
             let d = degrees[u] + 1.0;
             let w = 1.0 / d;
             for c in 0..dim {
@@ -674,7 +708,7 @@ mod tests {
     }
 
     #[test]
-    fn without_arcs_into_reuses_scratch_and_keeps_order() {
+    fn edited_into_reuses_scratch_and_keeps_order() {
         let g = star();
         let csr = Csr::from_view(&GraphView::full(&g));
         let mut out = Csr::default();
@@ -685,21 +719,37 @@ mod tests {
         ];
         let mut sorted = cut;
         sorted.sort_unstable();
-        csr.without_arcs_into(&sorted, &mut out);
+        csr.edited_into(&sorted, &[], &mut out);
         assert_eq!(out.neighbors(0), &[1, 3]);
         assert_eq!(out.neighbors(1), &[0]);
         assert_eq!(out.neighbors(2), &[] as &[NodeId]);
         assert_eq!(out.neighbors(3), &[0]);
         assert_eq!(out.num_arcs(), csr.num_arcs() - 2);
-        // reuse: an empty cut must fully rebuild the scratch as a copy
-        csr.without_arcs_into(&[], &mut out);
+        // reuse: an empty edit must fully rebuild the scratch as a copy
+        csr.edited_into(&[], &[], &mut out);
         assert_eq!(out, csr);
         // every arc of the hub cut at once
         let hub: Vec<usize> = (0..3).map(|i| csr.offsets[0] + i).collect();
-        csr.without_arcs_into(&hub, &mut out);
+        csr.edited_into(&hub, &[], &mut out);
         assert_eq!(out.neighbors(0), &[] as &[NodeId]);
         assert_eq!(out.neighbors(3), &[0]);
         assert_eq!(csr.arc_position(1, 2), None);
+        // insert 1 -- 3 and 2 -- 3 (rows 1 and 2 end, row 3 front and
+        // middle) while cutting 0 -- 2: both insertions at position 3's
+        // front share the spot of the first row-3 arc
+        let mut inserted: Vec<(usize, usize, usize)> = [(1, 3), (3, 1), (2, 3), (3, 2)]
+            .into_iter()
+            .map(|(r, t)| (csr.insert_position(r, t), r, t))
+            .collect();
+        inserted.sort_unstable();
+        csr.edited_into(&sorted, &inserted, &mut out);
+        let expected = Csr::from_adjacency(&[vec![1, 3], vec![0, 3], vec![3], vec![0, 1, 2]]);
+        assert_eq!(out, expected);
+        // a row that loses its only arc and gains one at the same spot
+        let swap = [(csr.insert_position(3, 2), 3, 2)];
+        csr.edited_into(&[csr.arc_position(3, 0).unwrap()], &swap, &mut out);
+        assert_eq!(out.neighbors(3), &[2]);
+        assert_eq!(out.neighbors(0), csr.neighbors(0));
     }
 
     /// Random connected graph + random feature buffer, deterministic in seed.

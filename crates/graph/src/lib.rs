@@ -25,7 +25,7 @@ pub mod subgraph;
 pub mod traversal;
 pub mod view;
 
-pub use bitmap::{AdjacencyBitmap, Bitmap, VerifiedPairBitmap};
+pub use bitmap::{Bitmap, VerifiedPairBitmap};
 pub use csr::{Csr, CsrNorms};
 pub use disturbance::{disturbance_footprint, Disturbance, DisturbanceStrategy};
 pub use edge::{norm_edge, Edge, EdgeSet};

@@ -33,6 +33,8 @@ pub struct Schedule {
     order: Vec<usize>,
     /// `prefix[d]` = number of ball nodes at distance `<= d`.
     prefix: Vec<usize>,
+    /// Hop distance of each local index from the nearest center.
+    dist: Vec<u32>,
 }
 
 impl Schedule {
@@ -43,6 +45,11 @@ impl Schedule {
             return None;
         }
         Some(&self.order[..self.prefix[remaining]])
+    }
+
+    /// Whether `row` is among [`Schedule::active_rows`]`(remaining)`.
+    fn is_active(&self, row: usize, remaining: usize) -> bool {
+        remaining + 1 >= self.prefix.len() || self.dist[row] as usize <= remaining
     }
 }
 
@@ -66,6 +73,9 @@ pub struct BallScratch {
     /// Local ball index of stamped nodes (valid only where `stamp` matches).
     local: Vec<u32>,
     epoch: u64,
+    /// The `reach` pairs of [`Locality::rebuild_reaching`] as arcs in both
+    /// directions, sorted by source.
+    reach_arcs: Vec<(NodeId, NodeId)>,
 }
 
 /// The receptive field of one node under one view: the BFS ball, its induced
@@ -88,14 +98,129 @@ pub struct Locality {
     schedule: Schedule,
 }
 
-/// Scratch for [`Locality::minus_edges_ctx`]: one removal variant's CSR and
-/// normalization vectors, rebuilt in place per removal set, plus the
-/// positions of the arcs it cuts.
+/// One flip variant of a [`Locality`]: the base ball's node set and row
+/// schedule with some edges removed and others inserted, rebuilt in place by
+/// [`BallVariant::derive`] and read through [`BallVariant::ctx`].
 #[derive(Debug, Default)]
 pub struct BallVariant {
     csr: Csr,
     norms: CsrNorms,
+    /// Target-array positions of the arcs the variant cuts (ascending).
     cut: Vec<usize>,
+    /// Arcs the variant inserts, as `(position, row, target)` with the
+    /// position the arc takes in the base target array (ascending).
+    inserted: Vec<(usize, usize, usize)>,
+    /// Local indices of the in-ball endpoints of every flip, in flip order
+    /// (with repeats); empty when no flip touches the ball.
+    changed: Vec<usize>,
+}
+
+impl BallVariant {
+    /// Derives from `ball`, the ball built on a base view, the ball of that
+    /// view with `removed` deleted and `inserted` added: the same node set
+    /// and row schedule, the removed arcs cut from the induced CSR, each
+    /// inserted arc placed at its sorted position in its row (ball rows
+    /// ascend by id, as [`GraphView::neighbors`] does), and the true degree
+    /// of every in-ball endpoint moved by one per flip. A flip with both
+    /// endpoints outside the ball changes nothing.
+    ///
+    /// Soundness contract: `removed` are distinct edges visible in the base
+    /// view, `inserted` distinct pairs absent from it, and `ball` covers the
+    /// flipped view's receptive field with a schedule no later than the
+    /// flipped view's own. A removal-only set always satisfies the last
+    /// part: deleting edges only lengthens BFS distances, so a ball of the
+    /// base view stays a superset. An insertion can shorten them, so a ball
+    /// that serves insertions is built by [`Locality::rebuild_reaching`]
+    /// with every pair that may be inserted. A path of at most `hops` edges
+    /// from the center in a flipped view uses base edges and inserted pairs
+    /// only, so it is a path in the base view plus the reach pairs: that
+    /// ball holds the flipped view's whole receptive field, and its
+    /// distances are no larger than the flipped view's. A forward pass over
+    /// the variant is then bit-exact against a pass over `Locality::build`
+    /// of the flipped view: every row the center depends on sees the same
+    /// neighbors in the same order with the same true degrees. Flipping an
+    /// absent, repeated or already present pair would corrupt the recorded
+    /// degrees.
+    pub fn derive(
+        &mut self,
+        ball: &Locality,
+        removed: &[(NodeId, NodeId)],
+        inserted: &[(NodeId, NodeId)],
+    ) {
+        let BallVariant {
+            csr,
+            norms,
+            cut,
+            inserted: arcs,
+            changed,
+        } = self;
+        cut.clear();
+        arcs.clear();
+        changed.clear();
+        let flips = removed
+            .iter()
+            .map(|&e| (e, false))
+            .chain(inserted.iter().map(|&e| (e, true)));
+        for ((a, b), insert) in flips {
+            let la = ball.local_index(a);
+            let lb = ball.local_index(b);
+            if la.is_none() && lb.is_none() {
+                continue;
+            }
+            if changed.is_empty() {
+                norms.clone_from(&ball.norms);
+            }
+            for i in [la, lb].into_iter().flatten() {
+                changed.push(i);
+                if insert {
+                    norms.increment(i);
+                } else {
+                    norms.decrement(i);
+                }
+            }
+            if let (Some(i), Some(j)) = (la, lb) {
+                let arcs_of = if i == j {
+                    &[(i, j)][..]
+                } else {
+                    &[(i, j), (j, i)]
+                };
+                for &(r, t) in arcs_of {
+                    if insert {
+                        arcs.push((ball.csr.insert_position(r, t), r, t));
+                    } else {
+                        cut.extend(ball.csr.arc_position(r, t));
+                    }
+                }
+            }
+        }
+        if changed.is_empty() {
+            return;
+        }
+        cut.sort_unstable();
+        arcs.sort_unstable();
+        ball.csr.edited_into(cut, arcs, csr);
+    }
+
+    /// The compute graph of the variant last derived from `ball`: `ball`'s
+    /// own when no flip touched it.
+    pub fn ctx<'a>(&'a self, ball: &'a Locality) -> ForwardCtx<'a> {
+        if self.changed.is_empty() {
+            return ball.forward_ctx();
+        }
+        debug_assert_eq!(self.norms.len(), ball.len(), "variant of another ball");
+        ForwardCtx {
+            csr: &self.csr,
+            norms: NormSource::Cached(&self.norms),
+            schedule: Some(&ball.schedule),
+        }
+    }
+
+    /// Local indices of the in-ball endpoints of the last derived variant's
+    /// flips, in flip order and with repeats: the rows whose adjacency or
+    /// degree differs from the base ball's.
+    pub fn changed(&self) -> &[usize] {
+        &self.changed
+    }
 }
 
 impl Locality {
@@ -128,8 +253,77 @@ impl Locality {
         hops: usize,
         scratch: &mut BallScratch,
     ) {
+        self.rebuild_from(view, &[center], hops, &[], scratch);
+    }
+
+    /// [`Locality::rebuild`] over a ball that also covers the receptive
+    /// field of `view` with any subset of the `reach` pairs inserted: the
+    /// BFS walks the view plus the `reach` pairs, so the node set is the
+    /// `hops`-ball of `center` in that supergraph and the schedule's
+    /// distances are the supergraph's. The induced CSR and the degrees stay
+    /// those of `view` itself. This is the base ball of
+    /// [`BallVariant::derive`]'s flip variants; with no `reach` pairs it is
+    /// exactly [`Locality::rebuild`].
+    ///
+    /// # Panics
+    /// Panics if `center` or a `reach` endpoint is not a valid node of the
+    /// view.
+    pub fn rebuild_reaching(
+        &mut self,
+        view: &GraphView<'_>,
+        center: NodeId,
+        hops: usize,
+        reach: &[(NodeId, NodeId)],
+        scratch: &mut BallScratch,
+    ) {
+        self.rebuild_from(view, &[center], hops, reach, scratch);
+    }
+
+    /// Multi-center variant of [`Locality::rebuild`]: the union `hops`-hop
+    /// receptive field of `centers` under `view`, for batched inference over
+    /// several nodes of the same view. Every center seeds the BFS at distance
+    /// 0 (duplicates collapse via the visit stamp), so each ball node's
+    /// recorded distance is its *minimum* distance to any center. The node
+    /// remap stays order-preserving (ascending host ids), degrees are the
+    /// true view degrees, and the schedule's final round computes exactly the
+    /// center rows.
+    ///
+    /// Bit-exactness: the single-ball induction applies per center — a node
+    /// at distance `d` from center `c` satisfies `min-dist <= d`, so the
+    /// schedule keeps it active for at least as many rounds as `c`'s own ball
+    /// would, and ascending-id reduction order plus true view degrees make
+    /// every computed row identical to the full pass. Each center's output
+    /// row therefore equals both its single-ball row and its full-pass row.
+    ///
+    /// `self.center` is set to the first center's local index; use
+    /// [`Locality::local_index`] to address the others.
+    ///
+    /// # Panics
+    /// Panics if `centers` is empty or contains an invalid node.
+    pub fn rebuild_multi(
+        &mut self,
+        view: &GraphView<'_>,
+        centers: &[NodeId],
+        hops: usize,
+        scratch: &mut BallScratch,
+    ) {
+        assert!(!centers.is_empty(), "Locality::rebuild_multi: no centers");
+        self.rebuild_from(view, centers, hops, &[], scratch);
+    }
+
+    /// The one ball builder behind [`Locality::rebuild`],
+    /// [`Locality::rebuild_reaching`] and [`Locality::rebuild_multi`]: a BFS
+    /// from every center over the view plus the `reach` pairs, then the
+    /// induced CSR and true degrees of the view over the visited nodes.
+    fn rebuild_from(
+        &mut self,
+        view: &GraphView<'_>,
+        centers: &[NodeId],
+        hops: usize,
+        reach: &[(NodeId, NodeId)],
+        scratch: &mut BallScratch,
+    ) {
         let n = view.num_nodes();
-        assert!(center < n, "Locality::build: invalid center node {center}");
         let BallScratch {
             visited,
             spans,
@@ -139,6 +333,7 @@ impl Locality {
             stamp,
             local,
             epoch,
+            reach_arcs,
         } = scratch;
         visited.clear();
         spans.clear();
@@ -150,10 +345,24 @@ impl Locality {
         }
         *epoch += 1;
         let e = *epoch;
+        reach_arcs.clear();
+        for &(a, b) in reach {
+            assert!(
+                a < n && b < n,
+                "Locality: reach pair ({a}, {b}) out of range"
+            );
+            reach_arcs.extend([(a, b), (b, a)]);
+        }
+        reach_arcs.sort_unstable();
 
-        stamp[center] = e;
-        visited.push((center, 0));
-        frontier.push(center);
+        for &c in centers {
+            assert!(c < n, "Locality::build: invalid center node {c}");
+            if stamp[c] != e {
+                stamp[c] = e;
+                visited.push((c, 0));
+                frontier.push(c);
+            }
+        }
         for d in 1..=hops as u32 {
             if frontier.is_empty() || visited.len() == n {
                 break;
@@ -164,13 +373,21 @@ impl Locality {
                 view.neighbors_into(u, arena);
                 let end = arena.len() as u32;
                 spans.push((u, start, end));
-                for &v in &arena[start as usize..end as usize] {
+                let mut visit = |v: NodeId| {
                     if stamp[v] != e {
                         stamp[v] = e;
                         visited.push((v, d));
                         next.push(v);
                     }
-                }
+                };
+                arena[start as usize..end as usize]
+                    .iter()
+                    .for_each(|&v| visit(v));
+                let first = reach_arcs.partition_point(|&(a, _)| a < u);
+                reach_arcs[first..]
+                    .iter()
+                    .take_while(|&&(a, _)| a == u)
+                    .for_each(|&(_, b)| visit(b));
             }
             std::mem::swap(frontier, next);
         }
@@ -207,150 +424,24 @@ impl Locality {
             }
             self.csr.finish_row();
         }
-        self.center = local[center] as usize;
-
-        // Schedule: local indices grouped by distance, ascending within each
-        // group, packed into one prefix-addressed vector.
-        let max_d = visited.iter().map(|&(_, d)| d).max().unwrap_or(0);
-        self.schedule.order.clear();
-        self.schedule.prefix.clear();
-        for d in 0..=max_d {
-            self.schedule
-                .order
-                .extend(visited.iter().enumerate().filter_map(|(i, &(_, dd))| {
-                    if dd == d {
-                        Some(i)
-                    } else {
-                        None
-                    }
-                }));
-            self.schedule.prefix.push(self.schedule.order.len());
-        }
-    }
-
-    /// Multi-center variant of [`Locality::rebuild`]: the union `hops`-hop
-    /// receptive field of `centers` under `view`, for batched inference over
-    /// several nodes of the same view. Every center seeds the BFS at distance
-    /// 0 (duplicates collapse via the visit stamp), so each ball node's
-    /// recorded distance is its *minimum* distance to any center. The node
-    /// remap stays order-preserving (ascending host ids), degrees are the
-    /// true view degrees, and the schedule's final round computes exactly the
-    /// center rows.
-    ///
-    /// Bit-exactness: the single-ball induction applies per center — a node
-    /// at distance `d` from center `c` satisfies `min-dist <= d`, so the
-    /// schedule keeps it active for at least as many rounds as `c`'s own ball
-    /// would, and ascending-id reduction order plus true view degrees make
-    /// every computed row identical to the full pass. Each center's output
-    /// row therefore equals both its single-ball row and its full-pass row.
-    ///
-    /// `self.center` is set to the first center's local index; use
-    /// [`Locality::local_index`] to address the others.
-    ///
-    /// # Panics
-    /// Panics if `centers` is empty or contains an invalid node.
-    pub fn rebuild_multi(
-        &mut self,
-        view: &GraphView<'_>,
-        centers: &[NodeId],
-        hops: usize,
-        scratch: &mut BallScratch,
-    ) {
-        let n = view.num_nodes();
-        assert!(!centers.is_empty(), "Locality::rebuild_multi: no centers");
-        let BallScratch {
-            visited,
-            spans,
-            arena,
-            frontier,
-            next,
-            stamp,
-            local,
-            epoch,
-        } = scratch;
-        visited.clear();
-        spans.clear();
-        arena.clear();
-        frontier.clear();
-        if stamp.len() < n {
-            stamp.resize(n, 0);
-            local.resize(n, 0);
-        }
-        *epoch += 1;
-        let e = *epoch;
-
-        for &c in centers {
-            assert!(c < n, "Locality::rebuild_multi: invalid center node {c}");
-            if stamp[c] != e {
-                stamp[c] = e;
-                visited.push((c, 0));
-                frontier.push(c);
-            }
-        }
-        for d in 1..=hops as u32 {
-            if frontier.is_empty() || visited.len() == n {
-                break;
-            }
-            next.clear();
-            for &u in frontier.iter() {
-                let start = arena.len() as u32;
-                view.neighbors_into(u, arena);
-                let end = arena.len() as u32;
-                spans.push((u, start, end));
-                for &v in &arena[start as usize..end as usize] {
-                    if stamp[v] != e {
-                        stamp[v] = e;
-                        visited.push((v, d));
-                        next.push(v);
-                    }
-                }
-            }
-            std::mem::swap(frontier, next);
-        }
-
-        visited.sort_unstable_by_key(|t| t.0);
-        self.nodes.clear();
-        self.nodes.extend(visited.iter().map(|&(u, _)| u));
-        for (i, &u) in self.nodes.iter().enumerate() {
-            local[u] = i as u32;
-        }
-        spans.sort_unstable_by_key(|t| t.0);
-        self.csr.reset();
-        self.norms.clear();
-        for &u in &self.nodes {
-            let (start, end) = match spans.binary_search_by_key(&u, |t| t.0) {
-                Ok(i) => (spans[i].1, spans[i].2),
-                Err(_) => {
-                    let start = arena.len() as u32;
-                    view.neighbors_into(u, arena);
-                    (start, arena.len() as u32)
-                }
-            };
-            let nbrs = &arena[start as usize..end as usize];
-            self.norms.push_degree(nbrs.len() as f64);
-            for &v in nbrs {
-                if stamp[v] == e {
-                    self.csr.push_target(local[v] as usize);
-                }
-            }
-            self.csr.finish_row();
-        }
         self.center = local[centers[0]] as usize;
 
-        let max_d = visited.iter().map(|&(_, d)| d).max().unwrap_or(0);
-        self.schedule.order.clear();
-        self.schedule.prefix.clear();
+        // Schedule: local indices grouped by distance, ascending within each
+        // group, packed into one prefix-addressed vector; `visited` is in
+        // local order, so it also yields each row's distance.
+        let Schedule {
+            order,
+            prefix,
+            dist,
+        } = &mut self.schedule;
+        dist.clear();
+        dist.extend(visited.iter().map(|&(_, d)| d));
+        let max_d = dist.iter().copied().max().unwrap_or(0);
+        order.clear();
+        prefix.clear();
         for d in 0..=max_d {
-            self.schedule
-                .order
-                .extend(visited.iter().enumerate().filter_map(|(i, &(_, dd))| {
-                    if dd == d {
-                        Some(i)
-                    } else {
-                        None
-                    }
-                }));
-            self.schedule.prefix.push(self.schedule.order.len());
+            order.extend((0..dist.len()).filter(|&i| dist[i] == d));
+            prefix.push(order.len());
         }
     }
 
@@ -367,65 +458,6 @@ impl Locality {
     /// Whether host node `v` lies inside the ball.
     pub fn contains(&self, v: NodeId) -> bool {
         self.nodes.binary_search(&v).is_ok()
-    }
-
-    /// The ball of the view without `edges`, derived from this ball into
-    /// the caller's [`BallVariant`] scratch: the same node set and row
-    /// schedule, the removed edges' arcs cut from the induced CSR (one bulk
-    /// copy) and the true degrees of their in-ball endpoints decremented.
-    /// Returns a [`ForwardCtx`] over the variant; a set that touches no ball
-    /// node yields this ball's own context without copying.
-    ///
-    /// Soundness contract: `edges` are *removals only*, distinct, and each
-    /// visible in the view this ball was built from. Deleting edges can only
-    /// lengthen BFS distances, so this ball stays a superset of the variant
-    /// view's receptive field and the shared distance schedule stays
-    /// conservative. A forward pass over the variant is then bit-exact
-    /// against a pass over `Locality::build` of the variant view: every row
-    /// the center depends on sees the same neighbors in the same order with
-    /// the same true degrees. Removing an absent or repeated edge would
-    /// corrupt the recorded degrees.
-    pub fn minus_edges_ctx<'a>(
-        &'a self,
-        edges: &[(NodeId, NodeId)],
-        scratch: &'a mut BallVariant,
-    ) -> ForwardCtx<'a> {
-        let BallVariant { csr, norms, cut } = scratch;
-        cut.clear();
-        let mut touched = false;
-        for &(a, b) in edges {
-            let la = self.local_index(a);
-            let lb = self.local_index(b);
-            if la.is_none() && lb.is_none() {
-                continue;
-            }
-            if !touched {
-                norms.clone_from(&self.norms);
-                touched = true;
-            }
-            if let Some(i) = la {
-                norms.decrement(i);
-            }
-            if let Some(j) = lb {
-                norms.decrement(j);
-            }
-            if let (Some(i), Some(j)) = (la, lb) {
-                cut.extend(self.csr.arc_position(i, j));
-                if i != j {
-                    cut.extend(self.csr.arc_position(j, i));
-                }
-            }
-        }
-        if !touched {
-            return self.forward_ctx();
-        }
-        cut.sort_unstable();
-        self.csr.without_arcs_into(cut, csr);
-        ForwardCtx {
-            csr,
-            norms: NormSource::Cached(norms),
-            schedule: Some(&self.schedule),
-        }
     }
 
     /// Local index of the center node.
@@ -549,6 +581,11 @@ impl<'a> ForwardCtx<'a> {
     /// down: the first of `L` rounds has `remaining = L - 1`, the last `0`.
     pub fn active_rows(&self, remaining: usize) -> Option<&'a [usize]> {
         self.schedule.and_then(|s| s.active_rows(remaining))
+    }
+
+    /// Whether `row` is among [`ForwardCtx::active_rows`]`(remaining)`.
+    pub fn is_active(&self, row: usize, remaining: usize) -> bool {
+        self.schedule.is_none_or(|s| s.is_active(row, remaining))
     }
 
     /// Symmetric-normalization SpMM over this compute graph, routed through
@@ -725,25 +762,58 @@ mod tests {
     }
 
     #[test]
-    fn minus_edges_ctx_matches_the_explicit_variant_view() {
+    fn flip_variants_match_the_explicit_flipped_view() {
         use crate::generators::{ensure_connected, stochastic_block_model};
         let (mut g, _) = stochastic_block_model(&[7, 7, 7], 0.4, 0.08, 3);
         ensure_connected(&mut g, 3);
         let path = path5();
         let edges = g.edge_vec();
-        // (graph, center, hops, removed edges)
-        type Case<'g> = (&'g Graph, usize, usize, Vec<(NodeId, NodeId)>);
+        let absent: Vec<(NodeId, NodeId)> = (0..g.num_nodes())
+            .flat_map(|u| (u + 1..g.num_nodes()).map(move |v| (u, v)))
+            .filter(|&(u, v)| !g.has_edge(u, v))
+            .collect();
+        // (graph, center, hops, removed, inserted, extra reach pairs)
+        type Pairs = Vec<(NodeId, NodeId)>;
+        type Case<'g> = (&'g Graph, usize, usize, Pairs, Pairs, Pairs);
         let cases: Vec<Case<'_>> = vec![
             // single removals: in-ball, boundary-crossing, fully outside
-            (&path, 2, 2, vec![(1, 2)]),
-            (&path, 2, 2, vec![(2, 3)]),
-            (&path, 1, 1, vec![(2, 3)]),
-            (&path, 0, 1, vec![(3, 4)]),
-            // nothing removed, and the whole path removed
-            (&path, 2, 2, vec![]),
-            (&path, 2, 4, vec![(0, 1), (2, 1), (2, 3), (4, 3)]),
+            (&path, 2, 2, vec![(1, 2)], vec![], vec![]),
+            (&path, 2, 2, vec![(2, 3)], vec![], vec![]),
+            (&path, 1, 1, vec![(2, 3)], vec![], vec![]),
+            (&path, 0, 1, vec![(3, 4)], vec![], vec![]),
+            // nothing flipped, and the whole path removed
+            (&path, 2, 2, vec![], vec![], vec![]),
+            (
+                &path,
+                2,
+                4,
+                vec![(0, 1), (2, 1), (2, 3), (4, 3)],
+                vec![],
+                vec![],
+            ),
+            // insertions: at the center, reaching past the base ball, at
+            // the boundary, fully outside, and unused reach pairs
+            (&path, 0, 2, vec![], vec![(0, 4)], vec![]),
+            (&path, 0, 1, vec![], vec![(1, 3)], vec![(0, 4)]),
+            (&path, 0, 2, vec![], vec![], vec![(0, 4), (1, 3)]),
+            (&path, 0, 1, vec![], vec![(2, 4)], vec![]),
+            (
+                &path,
+                2,
+                1,
+                vec![(1, 2)],
+                vec![(0, 2), (4, 0)],
+                vec![(1, 4)],
+            ),
             // multi-edge sets on an SBM, both orientations, near and far
-            (&g, 0, 2, edges.iter().copied().step_by(3).take(5).collect()),
+            (
+                &g,
+                0,
+                2,
+                edges.iter().copied().step_by(3).take(5).collect(),
+                absent.iter().copied().step_by(11).take(4).collect(),
+                vec![],
+            ),
             (
                 &g,
                 9,
@@ -754,43 +824,80 @@ mod tests {
                     .step_by(4)
                     .take(9)
                     .collect(),
+                absent
+                    .iter()
+                    .map(|&(a, b)| (b, a))
+                    .step_by(7)
+                    .take(6)
+                    .collect(),
+                absent.iter().copied().skip(3).step_by(13).collect(),
             ),
             (
                 &g,
                 20,
                 3,
                 edges.iter().copied().skip(1).step_by(2).collect(),
+                absent.iter().copied().step_by(5).take(9).collect(),
+                vec![],
             ),
         ];
-        let mut scratch = BallVariant::default();
-        for (i, (graph, center, hops, removed)) in cases.into_iter().enumerate() {
+        let mut scratch = BallScratch::default();
+        let mut variant = BallVariant::default();
+        let mut ball = Locality::default();
+        for (i, (graph, center, hops, removed, inserted, extra)) in cases.into_iter().enumerate() {
             let view = GraphView::full(graph);
-            let ball = Locality::build(&view, center, hops);
-            let set: EdgeSet = removed.iter().copied().collect();
-            let variant = GraphView::without(graph, &set);
-            let ctx = ball.minus_edges_ctx(&removed, &mut scratch);
+            let reach: Vec<(NodeId, NodeId)> = inserted.iter().chain(&extra).copied().collect();
+            ball.rebuild_reaching(&view, center, hops, &reach, &mut scratch);
+            let mut flipped = view.clone();
+            flipped.remove_edges(&removed.iter().copied().collect());
+            flipped.add_edges(&inserted.iter().copied().collect());
+            variant.derive(&ball, &removed, &inserted);
+            let ctx = variant.ctx(&ball);
             assert_eq!(ctx.num_nodes(), ball.len(), "case {i}");
             for (l, &u) in ball.nodes().iter().enumerate() {
-                // rows: the base rows minus the removed arcs, in order
-                let expected: Vec<usize> = ball
-                    .csr()
-                    .neighbors(l)
-                    .iter()
-                    .copied()
-                    .filter(|&m| !set.contains(u, ball.nodes()[m]))
+                // rows: the flipped view's neighbors inside the ball, in order
+                let expected: Vec<usize> = flipped
+                    .neighbors(u)
+                    .into_iter()
+                    .filter_map(|w| ball.local_index(w))
                     .collect();
                 assert_eq!(ctx.csr().neighbors(l), &expected[..], "case {i} row {u}");
-                // degrees: the variant view's true degrees
-                let degree = variant.neighbors(u).len() as f64;
+                // degrees: the flipped view's true degrees
+                let degree = flipped.neighbors(u).len() as f64;
                 assert_eq!(ctx.degrees()[l], degree, "case {i} degree of {u}");
                 assert_eq!(ctx.inv_deg().unwrap()[l], 1.0 / (degree + 1.0));
             }
+            // the changed rows are exactly the in-ball endpoints
+            let mut changed = variant.changed().to_vec();
+            changed.sort_unstable();
+            changed.dedup();
+            let mut endpoints: Vec<usize> = removed
+                .iter()
+                .chain(&inserted)
+                .flat_map(|&(a, b)| [a, b])
+                .filter_map(|x| ball.local_index(x))
+                .collect();
+            endpoints.sort_unstable();
+            endpoints.dedup();
+            assert_eq!(changed, endpoints, "case {i} changed rows");
+            // the ball covers the flipped view's own ball, no later in any
+            // round, and keeps its own schedule
+            let own = Locality::build(&flipped, center, hops);
             for r in 0..6 {
                 assert_eq!(
                     ctx.active_rows(r),
                     ball.forward_ctx().active_rows(r),
                     "case {i} round {r}"
                 );
+                let own_ctx = own.forward_ctx();
+                for (l, &u) in own.nodes().iter().enumerate() {
+                    let b = ball
+                        .local_index(u)
+                        .expect("flipped ball inside the base ball");
+                    if own_ctx.is_active(l, r) {
+                        assert!(ctx.is_active(b, r), "case {i} round {r} node {u}");
+                    }
+                }
             }
         }
     }

@@ -136,11 +136,13 @@ const IDLE_POLL: Duration = Duration::from_micros(500);
 const TIMEOUT_SCAN_EVERY: Duration = Duration::from_millis(25);
 
 /// How long an idle keep-alive connection keeps counting as "about to send
-/// again" after its last admitted request. While such a peer exists the
+/// again" after its last answer was applied. While such a peer exists the
 /// loop keeps sweeping instead of parking on the completion channel: a
-/// closed-loop client re-sends microseconds after an inline answer, and an
-/// [`IDLE_POLL`] park would cost more than the answer itself. Short enough
-/// that a client that has gone quiet stops holding the loop awake almost
+/// closed-loop client re-sends microseconds after its answer lands, and an
+/// [`IDLE_POLL`] park would cost more than the answer itself. The window
+/// starts at the answer, not at the request, so a request that took longer
+/// than the window still leaves its peer receptive. Short enough that a
+/// client that has gone quiet stops holding the loop awake almost
 /// immediately.
 const RECEPTIVE_WINDOW: Duration = Duration::from_millis(5);
 
@@ -914,11 +916,11 @@ struct Conn {
     last_progress: Instant,
     /// When the currently-buffered partial request started arriving.
     frame_since: Option<Instant>,
-    /// When this connection last had a request admitted (or was accepted):
-    /// the park guard treats a recently-active idle keep-alive peer as
-    /// "about to send again" (closed-loop clients re-send as soon as their
-    /// response lands).
-    last_admit: Instant,
+    /// When this connection last had a request admitted or an answer
+    /// applied (or was accepted): the park guard treats a recently-active
+    /// idle keep-alive peer as "about to send again" (closed-loop clients
+    /// re-send as soon as their response lands).
+    last_active: Instant,
     /// `Some(subscription)` once a `/subscribe` opened a stream on this
     /// connection: it becomes a one-way NDJSON pipe — no further requests
     /// are read, idle timeouts don't apply (only the write-grace bound),
@@ -928,15 +930,27 @@ struct Conn {
 
 impl Conn {
     /// An idle keep-alive peer that was recently active: nothing queued in
-    /// or out, and it sent within [`RECEPTIVE_WINDOW`]. Such a peer is
-    /// expected to follow up imminently, so the loop keeps sweeping for it
-    /// instead of parking.
+    /// or out, and its last answer was applied within [`RECEPTIVE_WINDOW`].
+    /// Such a peer is expected to follow up imminently, so the loop keeps
+    /// sweeping for it instead of parking.
     fn receptive(&self, now: Instant) -> bool {
         !self.busy
             && self.out_pos >= self.out.len()
             && self.frame_since.is_none()
             && !self.eof
-            && now.duration_since(self.last_admit) < RECEPTIVE_WINDOW
+            && now.duration_since(self.last_active) < RECEPTIVE_WINDOW
+    }
+
+    /// Queues a worker's answer on this connection: it is no longer busy,
+    /// and the receptive window restarts now.
+    fn answered(&mut self, bytes: Vec<u8>, close: bool, now: Instant) {
+        self.busy = false;
+        self.out = bytes;
+        self.out_pos = 0;
+        // A peer that half-closed after sending can still receive the
+        // answer, but the connection is done afterwards.
+        self.close_after_write = close || self.eof;
+        self.last_active = now;
     }
 }
 
@@ -1121,7 +1135,7 @@ impl<'a, 'e, 'c> EventLoop<'a, 'e, 'c> {
                         accepted_at: now,
                         last_progress: now,
                         frame_since: None,
-                        last_admit: now,
+                        last_active: now,
                         streaming: None,
                     };
                     match self.free.pop() {
@@ -1149,12 +1163,7 @@ impl<'a, 'e, 'c> EventLoop<'a, 'e, 'c> {
                 let Some(conn) = self.conns[conn_id].as_mut() else {
                     return;
                 };
-                conn.busy = false;
-                conn.out = bytes;
-                conn.out_pos = 0;
-                // A peer that half-closed after sending can still receive
-                // the answer, but the connection is done afterwards.
-                conn.close_after_write = close || conn.eof;
+                conn.answered(bytes, close, Instant::now());
                 self.pump(conn_id);
             }
             Completion::Kill { conn_id } => self.close(conn_id),
@@ -1383,7 +1392,7 @@ impl<'a, 'e, 'c> EventLoop<'a, 'e, 'c> {
         };
         conn.first_request = false;
         conn.busy = true;
-        conn.last_admit = now;
+        conn.last_active = now;
         if let Some(result) = inline_hit(self.state, &request, deadline_base) {
             // The completion a worker would send, through the same fault
             // sites; `read_stall` stays with worker claims (the loop never
@@ -2031,5 +2040,41 @@ mod tests {
         );
         assert_eq!(generate_route(&config, &request("GET", "/generate")), None);
         assert_eq!(generate_route(&config, &request("POST", "/disturb")), None);
+    }
+
+    /// The receptive window runs from the applied answer, so a closed-loop
+    /// peer whose request took longer than the window still keeps the loop
+    /// sweeping for its follow-up.
+    #[test]
+    fn a_peer_is_receptive_right_after_its_answer_however_long_its_request_took() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let admitted = Instant::now();
+        let mut conn = Conn {
+            stream,
+            frame: FrameBuf::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            close_after_write: false,
+            busy: true,
+            counted: true,
+            first_request: false,
+            eof: false,
+            accepted_at: admitted,
+            last_progress: admitted,
+            frame_since: None,
+            last_active: admitted,
+            streaming: None,
+        };
+        // the request runs for three windows
+        let applied = admitted + 3 * RECEPTIVE_WINDOW;
+        assert!(!conn.receptive(applied), "a busy peer is not receptive");
+        conn.answered(b"HTTP/1.1 200 OK\r\n\r\n".to_vec(), false, applied);
+        assert!(!conn.receptive(applied), "its answer is still queued");
+        conn.out_pos = conn.out.len();
+        assert!(conn.receptive(applied));
+        assert!(conn.receptive(applied + RECEPTIVE_WINDOW / 2));
+        assert!(!conn.receptive(applied + RECEPTIVE_WINDOW));
     }
 }

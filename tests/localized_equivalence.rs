@@ -7,8 +7,11 @@
 //! boundary cases (isolated node, edgeless view, receptive field covering the
 //! whole graph).
 //!
-//! Removal variants of one shared ball (the generator's removal base) are
-//! pinned against balls built on the explicit views the same way.
+//! Removal variants of one shared ball (the generator's removal base) and
+//! flip variants of one superset ball (the verifier's flip bases: GCN's
+//! delta forward, the other families' full forward through the trait
+//! default) are pinned against balls built on the explicit views the same
+//! way.
 //!
 //! APPNP's localized path gathers rows of a cached `H = f_theta(X)` instead of
 //! running its MLP, so the last three tests pin that cache against the full
@@ -18,8 +21,9 @@
 use robogexp::gnn::model::{
     localized_logits_row, margin_of_row, removal_logits_into, removal_margins,
 };
-use robogexp::gnn::{Gat, GraphSage, KernelScratch, TrainConfig};
+use robogexp::gnn::{ForwardScratch, Gat, GraphSage, KernelScratch, TrainConfig, VariantBase};
 use robogexp::graph::generators::{ensure_connected, stochastic_block_model};
+use robogexp::graph::{BallScratch, Locality};
 use robogexp::linalg::rng::Rng;
 use robogexp::linalg::vector;
 use robogexp::prelude::*;
@@ -245,6 +249,149 @@ fn multi_removal_variants_equal_explicit_views() {
                     assert!(
                         margins[i] == model.margin_with(v, 1, &explicit, &mut explicit_scratch),
                         "{name}: seed {seed}, without ({a},{b}): removal margin"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn flip_variants_of_one_superset_ball_equal_explicit_views() {
+    // A flip base is one ball per (node, base view), grown over every pair
+    // a disturbance may insert; each disturbance is a variant of it. GCN
+    // answers variants with its delta forward, the other families with
+    // their full forward through the trait default. Every variant row must
+    // equal the row of a ball built on the explicitly flipped view, bit for
+    // bit, over interleaved sequences that exercise the restore of the last
+    // variant's rows: single and multi-edge removals, insertions at the
+    // center and at the ball boundary, flips outside the ball, and every
+    // mixed set of at most two pool flips.
+    let mut build = BallScratch::default();
+    let mut fwd = ForwardScratch::default();
+    let mut explicit_scratch = KernelScratch::default();
+    for seed in 0u64..4 {
+        let g = sbm_graph(seed);
+        let n = g.num_nodes();
+        let edges = g.edge_vec();
+        let witness: EdgeSet = edges.iter().copied().step_by(6).take(6).collect();
+        let bases = [GraphView::full(&g), GraphView::without(&g, &witness)];
+        let v = edges[1].1;
+        for (name, model) in models(seed) {
+            let hops = model.receptive_hops();
+            for base in &bases {
+                let visible = |a: NodeId, b: NodeId| base.has_edge(a, b);
+                // distance classes of the base view's own ball around v
+                let inner = Locality::build(base, v, hops.saturating_sub(1));
+                let ball = Locality::build(base, v, hops);
+                let boundary: Vec<NodeId> = ball
+                    .nodes()
+                    .iter()
+                    .copied()
+                    .filter(|&u| !inner.contains(u))
+                    .collect();
+                let outside: Vec<NodeId> = (0..n).filter(|&u| !ball.contains(u)).collect();
+                let absent = |a: NodeId, b: NodeId| a != b && !g.has_edge(a, b);
+                let mut inserts: Vec<(NodeId, NodeId)> = Vec::new();
+                // at the center: v to the farthest nodes first
+                inserts.extend(
+                    outside
+                        .iter()
+                        .chain(&boundary)
+                        .copied()
+                        .filter(|&u| absent(v, u))
+                        .take(3)
+                        .map(|u| (v, u)),
+                );
+                // at the boundary: boundary to outside, boundary to boundary
+                for (i, &b) in boundary.iter().enumerate().take(4) {
+                    if let Some(&o) = outside.iter().find(|&&o| absent(b, o)) {
+                        inserts.push((b, o));
+                    }
+                    if let Some(&c) = boundary[i + 1..].iter().find(|&&c| absent(b, c)) {
+                        inserts.push((b, c));
+                    }
+                }
+                // outside the ball
+                if let [a, b, ..] = outside[..] {
+                    if absent(a, b) {
+                        inserts.push((a, b));
+                    }
+                }
+                inserts.sort_unstable();
+                inserts
+                    .dedup_by(|x, y| (x.0.min(x.1), x.0.max(x.1)) == (y.0.min(y.1), y.0.max(y.1)));
+                // removals: at the center, near it, at the boundary, outside
+                let mut removals: Vec<(NodeId, NodeId)> = edges
+                    .iter()
+                    .copied()
+                    .filter(|&(a, b)| visible(a, b) && !witness.contains(a, b))
+                    .filter(|&(a, b)| a == v || b == v)
+                    .take(3)
+                    .collect();
+                removals.extend(
+                    edges
+                        .iter()
+                        .copied()
+                        .filter(|&(a, b)| visible(a, b) && !witness.contains(a, b))
+                        .filter(|&(a, b)| a != v && b != v)
+                        .step_by(4)
+                        .take(6),
+                );
+                let mut base_flips = VariantBase::default();
+                base_flips.rebuild(model.as_ref(), v, base, &inserts, &mut build);
+                // flip sets: singles, growing removal sets, growing insertion
+                // sets, and every mixed pair, interleaved
+                let pool: Vec<((NodeId, NodeId), bool)> = removals
+                    .iter()
+                    .map(|&e| (e, false))
+                    .chain(inserts.iter().map(|&e| (e, true)))
+                    .collect();
+                let mut sets: Vec<Vec<((NodeId, NodeId), bool)>> = vec![vec![]];
+                sets.extend(pool.iter().map(|&f| vec![f]));
+                sets.extend((2..=removals.len()).map(|k| pool[..k].to_vec()));
+                sets.extend((2..=inserts.len()).map(|k| pool[removals.len()..][..k].to_vec()));
+                for i in 0..pool.len() {
+                    for j in i + 1..pool.len() {
+                        sets.push(vec![pool[i], pool[j]]);
+                        sets.push(vec![pool[j]]);
+                    }
+                }
+                for set in &sets {
+                    let removed: Vec<(NodeId, NodeId)> =
+                        set.iter().filter(|f| !f.1).map(|f| f.0).collect();
+                    let inserted: Vec<(NodeId, NodeId)> =
+                        set.iter().filter(|f| f.1).map(|f| f.0).collect();
+                    let mut explicit = base.clone();
+                    explicit.remove_edges(&removed.iter().copied().collect());
+                    explicit.add_edges(&inserted.iter().copied().collect());
+                    let row = model
+                        .variant_logits_into(&mut base_flips, &removed, &inserted, &mut fwd)
+                        .to_vec();
+                    assert_eq!(
+                        row,
+                        localized_logits_row(model.as_ref(), v, &explicit),
+                        "{name}: seed {seed}, -{removed:?} +{inserted:?}: variant row differs"
+                    );
+                    assert_eq!(
+                        model.predict_with(v, &explicit, &mut explicit_scratch),
+                        Some(vector::argmax(&row)),
+                        "{name}: seed {seed}, -{removed:?} +{inserted:?}: predict"
+                    );
+                }
+                // a flipped view of the plain view equals the same variant
+                let d: EdgeSet = pool.iter().take(2).map(|f| f.0).collect();
+                if base.is_unmasked() {
+                    let flipped = GraphView::full(&g).flipped(&d);
+                    let (removed, inserted): (Vec<_>, Vec<_>) =
+                        d.iter().partition(|&(a, b)| g.has_edge(a, b));
+                    let row = model
+                        .variant_logits_into(&mut base_flips, &removed, &inserted, &mut fwd)
+                        .to_vec();
+                    assert_eq!(
+                        row,
+                        localized_logits_row(model.as_ref(), v, &flipped),
+                        "{name}"
                     );
                 }
             }
