@@ -1,5 +1,6 @@
 //! Compute-kernel microbenchmarks: the SpMM and matmul hot loops behind every
-//! forward pass, plus the localized-ball machinery they feed.
+//! forward pass, the localized-ball machinery they feed, and the candidate
+//! scoring of witness generation (GCN margins, APPNP walk ranking keys).
 //!
 //! Each vectorized kernel is benchmarked next to the retained scalar
 //! reference (`*_deg_ref`, `matmul_reference`) so kernel-level regressions —
@@ -9,8 +10,10 @@
 //! the CI bench-regression gate next to the other committed records.
 
 use rcw_bench::timing::BenchGroup;
+use rcw_datasets::{citeseer, Scale};
 use rcw_gnn::{Gcn, GnnModel, KernelScratch};
 use rcw_graph::generators::{ensure_connected, stochastic_block_model};
+use rcw_graph::traversal::k_hop_neighborhood;
 use rcw_graph::{BallScratch, Csr, CsrNorms, GraphView, Locality, NodeId};
 use rcw_linalg::matrix::{matmul_packed_rows, matmul_pret_rows};
 use rcw_linalg::{Matrix, PackedWeights, Rng};
@@ -137,6 +140,31 @@ fn main() {
         gcn.margin_many_removed_with(probe, 1, &view, &removals, &mut scratch)
             .len()
     });
+
+    // --- APPNP walk ranking: one removal base, two blocks of candidates ----
+    let ds = citeseer::build(Scale::Small, 7);
+    let appnp = ds.train_appnp(16, 7);
+    let center = ds.test_pool[0];
+    let full = GraphView::full(&ds.graph);
+    let label = appnp.predict(center, &full).expect("valid node");
+    let hood = k_hop_neighborhood(&ds.graph, center, 2);
+    let candidates: Vec<(NodeId, NodeId)> = ds
+        .graph
+        .edge_vec()
+        .into_iter()
+        .filter(|&(u, v2)| hood.contains(&u) && hood.contains(&v2))
+        .take(16)
+        .collect();
+    assert_eq!(candidates.len(), 16, "probe hood must hold 16 edges");
+    appnp.set_removal_base(center, &full, &mut scratch);
+    group.bench(
+        "removal_ranking_keys/appnp/citeseer-small/16-candidates",
+        || {
+            appnp
+                .removal_ranking_keys(label, &candidates, &mut scratch)
+                .len()
+        },
+    );
 
     group.finish();
     // anchor at the workspace root so the record is stable across invokers

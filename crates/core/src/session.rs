@@ -398,26 +398,29 @@ fn ensure_counterfactual(
 
     // Greedily absorb the most label-critical support edges until the
     // remainder flips, with a hard bound so that an unattainable
-    // counterfactual does not blow the witness up.
+    // counterfactual does not blow the witness up. The absorption order is
+    // fixed up front (ranked pairs not yet in the witness, each edge once);
+    // the model then finds the first prefix whose removal flips the label,
+    // and one check is charged per prefix tested, up to that one.
     let max_add = graph.degree(v).max(3) + 6;
     let mut added_edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut flipped = false;
     for (_, (a, b)) in scored {
         if added_edges.len() >= max_add {
             break;
         }
-        if subgraph.contains_edge(a, b) {
+        let e = norm_edge(a, b);
+        if subgraph.contains_edge(a, b) || added_edges.iter().any(|&(x, y)| norm_edge(x, y) == e) {
             continue;
         }
-        subgraph.add_edge(a, b);
         added_edges.push((a, b));
-        stats.inference_calls += 1;
-        if !model.removal_keeps_label(label, &added_edges, scratch) {
-            flipped = true;
-            break; // counterfactual achieved
-        }
     }
-    if flipped {
+    let flip = model.first_flipping_prefix(label, &added_edges, scratch);
+    added_edges.truncate(flip.map_or(added_edges.len(), |i| i + 1));
+    stats.inference_calls += added_edges.len();
+    for &(a, b) in &added_edges {
+        subgraph.add_edge(a, b);
+    }
+    if flip.is_some() {
         // Backward pruning pass: revisit the absorbed edges newest first,
         // skipping the one that completed the flip, and drop each edge whose
         // removal from the witness keeps the remainder flipped and `v`
@@ -741,8 +744,11 @@ fn join_in_order<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T
         .collect()
 }
 
-/// The bootstrap (phase 1) reuses the sequential session but with zero
-/// robustness rounds — robustness is handled by the parallel loop.
+/// The bootstrap (phase 1) reuses the sequential session with one
+/// robustness round: each chunk expands its nodes, runs one verify round and,
+/// on its verdict, absorbs the counterexample (Counterfactual) or re-runs the
+/// per-node expansion once (Factual or not a witness). Further rounds are the
+/// parallel loop's.
 fn bootstrap_config(cfg: &RcwConfig) -> RcwConfig {
     RcwConfig {
         max_expand_rounds: 1,

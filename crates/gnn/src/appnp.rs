@@ -19,43 +19,81 @@
 //! ([`Appnp::local_logits`]) and its localized inference gathers the ball's
 //! rows of `H` and runs only the propagation half of the forward kernel.
 //!
-//! The same linearity answers the removal-variant queries of witness
-//! generation cheaply. `T` rounds of the fixed point give
-//! `z_v = (1 - alpha) w^T H` with walk weights
+//! The same linearity answers label decisions cheaply. `T` rounds of the
+//! fixed point give `z_v = (1 - alpha) w^T H` with walk weights
 //! `w = sum_{s=0..T} alpha^s e_v^T P^s`, one scalar per ball node, so a
-//! label decision or a candidate ranking costs one scalar gather per round
-//! instead of one per class. Those answers are used only where a
-//! floating-point error bound certifies that the exact forward would give
-//! the same one; everything else runs the exact forward.
+//! decision costs one scalar gather per round instead of one per class. One
+//! walk kernel ([`Appnp`]'s `walk_block`) moves up to eight such walks
+//! together over one ball, each the ball's view minus its own removed edges:
+//! it ranks a block of candidate removals, tests a block of greedy prefixes,
+//! or, at width one, answers a single prediction. A walk's answer is used
+//! only where a floating-point error bound certifies that the exact forward
+//! would give the same one; everything else runs the exact forward over the
+//! same ball.
 
 use crate::cache::EpochCache;
 use crate::model::{
-    margin_of_row, one_hot_labels, pack_all, removal_logits_into, removal_margins, sized,
-    ForwardScratch, GnnModel, KernelScratch, VariantBase,
+    ball_logits_into, margin_of_row, one_hot_labels, pack_all, removal_logits_into,
+    removal_margins, sized, ForwardScratch, GnnModel, KernelScratch, VariantBase,
 };
 use crate::train::{Adam, TrainConfig, TrainReport};
-use rcw_graph::{Csr, Edge, ForwardCtx, Graph, GraphView, NodeId};
+use rcw_graph::{Csr, Edge, ForwardCtx, Graph, GraphView, Locality, NodeId};
 use rcw_linalg::{init, matmul_packed_rows, vector, Activation, Matrix, PackedWeights};
 use std::sync::Arc;
 
-/// Buffers of [`Appnp::walk_logits`]: the walk distribution of the current
-/// and the next round, its degree-scaled copy, the accumulated walk weights
-/// and the resulting logits.
+/// Columns one walk moves together: the width of the ranking and prefix
+/// blocks of [`Appnp::walk_block`].
+const WALK_BLOCK: usize = 8;
+
+/// Buffers of [`Appnp::walk_block`]: per ball row and column, the
+/// degree-scaled walk distribution of the current and the next round and the
+/// accumulated walk weights (row-major, `W` values per row); the resulting
+/// logits; and the per-column edits of the base ball.
 #[derive(Debug, Default)]
 pub(crate) struct WalkScratch {
-    r: Vec<f64>,
     q: Vec<f64>,
-    next: Vec<f64>,
+    q_next: Vec<f64>,
     w: Vec<f64>,
     z: Vec<f64>,
+    /// Every ball row, for rounds whose schedule is the whole ball.
+    all_rows: Vec<usize>,
+    /// In-ball endpoints of every removed edge as `(row, column)`, with
+    /// repeats.
+    ends: Vec<(usize, usize)>,
+    /// `(row, column, 1 / (d + 1))` for every row whose degree a column
+    /// lowers, `d` being that column's degree of the row; sorted.
+    degrees: Vec<(usize, usize, f64)>,
+    /// Arcs a column cuts as `(row, column, target)`, sorted.
+    cut: Vec<(usize, usize, usize)>,
+    /// Whether some column lowers the row's degree.
+    edited: Vec<bool>,
 }
 
-/// Calls `f` on each scheduled row (`None`: every row of `0..n`).
-fn for_rows(rows: Option<&[usize]>, n: usize, mut f: impl FnMut(usize)) {
-    match rows {
-        None => (0..n).for_each(f),
-        Some(rows) => rows.iter().for_each(|&u| f(u)),
-    }
+/// Row `row` of a row-major buffer holding `W` values per row.
+fn lanes<const W: usize>(buf: &[f64], row: usize) -> &[f64; W] {
+    buf[row * W..(row + 1) * W]
+        .try_into()
+        .expect("a row holds W lanes")
+}
+
+/// [`lanes`], mutably.
+fn lanes_mut<const W: usize>(buf: &mut [f64], row: usize) -> &mut [f64; W] {
+    (&mut buf[row * W..(row + 1) * W])
+        .try_into()
+        .expect("a row holds W lanes")
+}
+
+/// The top class of walk-weight logits `z` when it leads the runner-up by
+/// more than twice the per-logit `bound`: the exact forward's argmax is then
+/// the same class. `None` means "run the exact forward".
+fn certified_top(z: &[f64], bound: f64) -> Option<usize> {
+    let top = vector::argmax(z);
+    let runner_up = z
+        .iter()
+        .enumerate()
+        .filter(|&(c, _)| c != top)
+        .fold(f64::NEG_INFINITY, |m, (_, &x)| m.max(x));
+    (z[top] - runner_up > 2.0 * bound).then_some(top)
 }
 
 /// The APPNP model: an MLP feature transform plus PPR propagation.
@@ -268,12 +306,13 @@ impl Appnp {
         self.propagate_scratch(ctx, x.rows(), dim, s)
     }
 
-    /// The per-logit error bound of walk-weight logits over the removal
-    /// base, derived once per base; `None` when its `H` rows hold a
-    /// non-finite entry (or one so large that sums could overflow), in which
-    /// case every answer falls back to the exact forward.
+    /// The per-logit error bound of walk-weight logits over `ball`, whose
+    /// input rows `inputs` holds, and over every removal variant of it;
+    /// `None` when an `H` row holds a non-finite entry (or one so large that
+    /// sums could overflow), in which case every answer falls back to the
+    /// exact forward.
     ///
-    /// Both the exact forward and [`Appnp::walk_logits`] evaluate the same
+    /// Both the exact forward and [`Appnp::walk_block`] evaluate the same
     /// real number `z* = (1 - a) sum_{s=0..T} a^s (P^s H)_v` (with `a` and
     /// `1 - a` as the stored floats), and both only ever sum non-negative
     /// weights times rows of `H`, the weights of one round summing to at
@@ -295,96 +334,250 @@ impl Appnp {
     /// `EPSILON = 2u`, doubling that as slack for the second-order terms and
     /// for the rounding of the margin and gap subtractions, plus
     /// `(1 + A) * MIN_POSITIVE` for subnormal underflow (each of fewer than
-    /// `2^50` roundings loses at most `2^-1075`).
-    fn walk_bound(&self, removal: &mut VariantBase) -> Option<f64> {
-        let bound = *removal.bound.get_or_insert_with(|| {
-            let h = removal.inputs.data();
-            if h.iter().any(|x| !x.is_finite()) {
-                return f64::INFINITY;
-            }
-            let a = h.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-            if a > f64::MAX / 4.0 {
-                return f64::INFINITY;
-            }
-            let d = removal.ball.degrees().iter().fold(0.0f64, |m, &x| m.max(x));
-            let t = self.prop_iters as f64;
-            let n = removal.ball.len() as f64;
+    /// `2^50` roundings loses at most `2^-1075`). A removal variant has the
+    /// ball's node count and no larger degrees, so the ball's bound covers
+    /// it.
+    fn walk_bound(&self, ball: &Locality, inputs: &Matrix) -> Option<f64> {
+        let h = inputs.data();
+        if h.iter().any(|x| !x.is_finite()) {
+            return None;
+        }
+        let a = h.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        if a > f64::MAX / 4.0 {
+            return None;
+        }
+        let d = ball.degrees().iter().fold(0.0f64, |m, &x| m.max(x));
+        let t = self.prop_iters as f64;
+        let n = ball.len() as f64;
+        Some(
             (2.0 * (t + 1.0) * (d + 4.0) + n + 1.0) * f64::EPSILON * a
-                + (1.0 + a) * f64::MIN_POSITIVE
-        });
-        bound.is_finite().then_some(bound)
+                + (1.0 + a) * f64::MIN_POSITIVE,
+        )
     }
 
-    /// Walk-weight logits of the removal base's center on the base view
-    /// without `removed`: `z = (1 - a) w^T H` with
-    /// `w = sum_{s=0..T} a^s e_v^T P'^s` over the ball variant `P'`. Round
-    /// `s` gathers `r_s = r_{s-1} P'` over the rows within `s` hops (outside
-    /// them `r_s` is zero): `r_s[x] = q[x] + sum_{y in N(x)} q[y]` with
-    /// `q = r_{s-1} / (d + 1)`.
-    fn walk_logits<'s>(&self, removed: &[Edge], removal: &'s mut VariantBase) -> &'s [f64] {
+    /// [`Appnp::walk_bound`] of the removal base, derived once per base.
+    fn base_bound(&self, removal: &mut VariantBase) -> Option<f64> {
         let VariantBase {
             ball,
             inputs,
-            variant,
-            walk,
+            bound,
             ..
         } = removal;
-        variant.derive(ball, removed, &[]);
-        let ctx = variant.ctx(ball);
-        let inv_deg = ctx.inv_deg().expect("ball variants cache their norms");
-        let csr = ctx.csr();
-        let n = ctx.num_nodes();
-        let WalkScratch { r, q, next, w, z } = walk;
-        for buf in [&mut *r, &mut *q, &mut *next, &mut *w] {
+        let b =
+            *bound.get_or_insert_with(|| self.walk_bound(ball, inputs).unwrap_or(f64::INFINITY));
+        b.is_finite().then_some(b)
+    }
+
+    /// Walk-weight logits of `ball`'s center on up to `W` removal variants
+    /// of its view at once: column `k` is the view without `columns[k]`
+    /// (columns past `columns.len()` remove nothing), and its logits are
+    /// `z = (1 - a) w^T H` with `w = sum_{s=0..T} a^s e_v^T P'^s` over that
+    /// variant's `P'`. Returns `W` logits rows, one per column.
+    ///
+    /// Round `s` gathers `r_s = r_{s-1} P'` over the rows within `s` hops
+    /// (outside them `r_s` is zero): `r_s[x] = q[x] + sum_{y in N(x)} q[y]`
+    /// with `q = r_{s-1} / (d + 1)`, every column at once over the ball's
+    /// own CSR, and scales each gathered row into the next round's `q`. A
+    /// column that lowers a row's degree scales that row by the
+    /// `1 / (d + 1)` [`CsrNorms::decrement`](rcw_graph::CsrNorms::decrement)
+    /// gives, and a row that loses arcs in a column is re-gathered for that
+    /// column in CSR order, skipping the cut neighbours. So every column
+    /// performs, float for float, the walk over the ball variant
+    /// [`BallVariant::derive`](rcw_graph::BallVariant::derive) builds for
+    /// its removals, and no variant CSR is copied. The removals must meet
+    /// `derive`'s contract (distinct edges, each visible in the view).
+    /// Zero walk weights are not skipped in the final dot product, which
+    /// changes no bit while `H` is finite, the only case whose logits are
+    /// read ([`Appnp::walk_bound`]).
+    fn walk_block<'s, const W: usize>(
+        &self,
+        ball: &Locality,
+        inputs: &Matrix,
+        columns: &[&[Edge]],
+        walk: &'s mut WalkScratch,
+    ) -> &'s [f64] {
+        assert!(columns.len() <= W, "Appnp::walk_block: too many columns");
+        let WalkScratch {
+            q,
+            q_next,
+            w,
+            z,
+            all_rows,
+            ends,
+            degrees,
+            cut,
+            edited,
+        } = walk;
+        let n = ball.len();
+        let ctx = ball.forward_ctx();
+        let csr = ball.csr();
+        let inv_deg = ball.norms().inv_deg();
+
+        ends.clear();
+        cut.clear();
+        for (k, removed) in columns.iter().enumerate() {
+            for &(a, b) in removed.iter() {
+                let (la, lb) = (ball.local_index(a), ball.local_index(b));
+                ends.extend([la, lb].into_iter().flatten().map(|i| (i, k)));
+                if let (Some(i), Some(j)) = (la, lb) {
+                    cut.push((i, k, j));
+                    if i != j {
+                        cut.push((j, k, i));
+                    }
+                }
+            }
+        }
+        ends.sort_unstable();
+        cut.sort_unstable();
+        degrees.clear();
+        edited.clear();
+        edited.resize(n, false);
+        for run in ends.chunk_by(|x, y| x == y) {
+            let (row, k) = run[0];
+            let mut d = ball.degrees()[row];
+            for _ in run {
+                d -= 1.0;
+            }
+            degrees.push((row, k, 1.0 / (d + 1.0)));
+            edited[row] = true;
+        }
+        all_rows.clear();
+        all_rows.extend(0..n);
+
+        for buf in [&mut *q, &mut *q_next, &mut *w] {
             buf.clear();
-            buf.resize(n, 0.0);
+            buf.resize(n * W, 0.0);
         }
         let center = ball.center_index();
-        r[center] = 1.0;
-        w[center] = 1.0;
+        w[center * W..(center + 1) * W].fill(1.0);
+        q[center * W..(center + 1) * W].fill(inv_deg[center]);
+        for &(row, k, inv) in degrees.iter().filter(|t| t.0 == center) {
+            q[row * W + k] = inv;
+        }
         let mut weight = 1.0;
         for s in 1..=self.prop_iters {
-            for_rows(ctx.active_rows(s - 1), n, |u| q[u] = r[u] * inv_deg[u]);
             weight *= self.alpha;
-            for_rows(ctx.active_rows(s), n, |x| {
-                let mut acc = q[x];
+            let rows = ctx.active_rows(s).unwrap_or(all_rows);
+            let (qq, qn, ww) = (&q[..], &mut q_next[..], &mut w[..]);
+            for &x in rows {
+                let mut acc = *lanes::<W>(qq, x);
                 for &y in csr.neighbors(x) {
-                    acc += q[y];
+                    let qy = lanes::<W>(qq, y);
+                    for k in 0..W {
+                        acc[k] += qy[k];
+                    }
                 }
-                next[x] = acc;
-                w[x] += weight * acc;
-            });
-            std::mem::swap(r, next);
+                if edited[x] {
+                    // finished below, from the raw gather
+                    *lanes_mut(qn, x) = acc;
+                    continue;
+                }
+                let (qx, wx) = (lanes_mut::<W>(qn, x), lanes_mut::<W>(ww, x));
+                for k in 0..W {
+                    qx[k] = acc[k] * inv_deg[x];
+                    wx[k] += weight * acc[k];
+                }
+            }
+            // Rows a column edits: re-gather the columns that cut one of the
+            // row's arcs, then scale by each column's own degree.
+            for run in degrees.chunk_by(|a, b| a.0 == b.0) {
+                let x = run[0].0;
+                if !ctx.is_active(x, s) {
+                    continue;
+                }
+                let first = cut.partition_point(|t| t.0 < x);
+                let cuts = &cut[first..cut.partition_point(|t| t.0 <= x)];
+                let mut acc = *lanes::<W>(qn, x);
+                for cuts_k in cuts.chunk_by(|a, b| a.1 == b.1) {
+                    let k = cuts_k[0].1;
+                    let mut a = qq[x * W + k];
+                    for &y in csr.neighbors(x) {
+                        if !cuts_k.iter().any(|t| t.2 == y) {
+                            a += qq[y * W + k];
+                        }
+                    }
+                    acc[k] = a;
+                }
+                let qx = lanes_mut::<W>(qn, x);
+                for k in 0..W {
+                    qx[k] = acc[k] * inv_deg[x];
+                }
+                for &(_, k, inv) in run {
+                    qx[k] = acc[k] * inv;
+                }
+                let wx = lanes_mut::<W>(ww, x);
+                for k in 0..W {
+                    wx[k] += weight * acc[k];
+                }
+            }
+            std::mem::swap(q, q_next);
         }
-        z.clear();
-        z.resize(inputs.cols(), 0.0);
-        for (u, &wu) in w.iter().enumerate() {
-            if wu != 0.0 {
-                for (zc, &h) in z.iter_mut().zip(inputs.row(u)) {
-                    *zc += wu * h;
+
+        // z^T = H^T w, accumulated class-major so each step is one `W`-wide
+        // update, then laid out one logits row per column.
+        let classes = inputs.cols();
+        q.clear();
+        q.resize(classes * W, 0.0);
+        for u in 0..n {
+            let wu = lanes::<W>(w, u);
+            for (c, &h) in inputs.row(u).iter().enumerate() {
+                let zc = lanes_mut::<W>(q, c);
+                for k in 0..W {
+                    zc[k] += wu[k] * h;
                 }
             }
         }
         let teleport = 1.0 - self.alpha;
-        for zc in z.iter_mut() {
-            *zc *= teleport;
-        }
+        z.clear();
+        z.extend(
+            (0..W)
+                .flat_map(|k| (0..classes).map(move |c| k + c * W))
+                .map(|i| q[i] * teleport),
+        );
         z
     }
 
-    /// The top class of the walk-weight logits when it leads the runner-up
-    /// by more than twice the per-logit bound: the exact forward's argmax is
-    /// then the same class. `None` means "run the exact forward".
-    fn certified_top(&self, removed: &[Edge], removal: &mut VariantBase) -> Option<usize> {
-        let bound = self.walk_bound(removal)?;
-        let z = self.walk_logits(removed, removal);
-        let top = vector::argmax(z);
-        let runner_up = z
-            .iter()
-            .enumerate()
-            .filter(|&(c, _)| c != top)
-            .fold(f64::NEG_INFINITY, |m, (_, &x)| m.max(x));
-        (z[top] - runner_up > 2.0 * bound).then_some(top)
+    /// [`Appnp::walk_block`] at the narrowest of the widths 1, 2, 4 and
+    /// [`WALK_BLOCK`] that holds `columns` (at most [`WALK_BLOCK`]), so a
+    /// short tail of a block costs what its columns need.
+    fn walk<'s>(
+        &self,
+        ball: &Locality,
+        inputs: &Matrix,
+        columns: &[&[Edge]],
+        walk: &'s mut WalkScratch,
+    ) -> &'s [f64] {
+        match columns.len() {
+            0 | 1 => self.walk_block::<1>(ball, inputs, columns, walk),
+            2 => self.walk_block::<2>(ball, inputs, columns, walk),
+            3 | 4 => self.walk_block::<4>(ball, inputs, columns, walk),
+            _ => self.walk_block::<WALK_BLOCK>(ball, inputs, columns, walk),
+        }
+    }
+
+    /// The index of the first of `columns` whose removal from the removal
+    /// base makes its center lose `label`, each decided from one walk over
+    /// all of them when [`certified_top`] certifies it and otherwise by the
+    /// exact forward over the variant; `None` when every column keeps it.
+    fn first_loss(
+        &self,
+        label: usize,
+        bound: f64,
+        columns: &[&[Edge]],
+        scratch: &mut KernelScratch,
+    ) -> Option<usize> {
+        let KernelScratch {
+            removal, walk, fwd, ..
+        } = scratch;
+        let z = self.walk(&removal.ball, &removal.inputs, columns, walk);
+        let classes = self.num_classes();
+        columns.iter().enumerate().position(|(k, removed)| {
+            let top =
+                certified_top(&z[k * classes..(k + 1) * classes], bound).unwrap_or_else(|| {
+                    vector::argmax(self.variant_logits_into(removal, removed, &[], fwd))
+                });
+            top != label
+        })
     }
 
     /// Applies the *transposed* propagation, used for backpropagation:
@@ -549,6 +742,33 @@ impl GnnModel for Appnp {
         self.propagate_scratch(ctx, inputs.rows(), inputs.cols(), scratch)
     }
 
+    /// The certified walk-weight top class over the ball the query builds,
+    /// else the exact forward over that same ball.
+    fn predict_with(
+        &self,
+        v: NodeId,
+        view: &GraphView<'_>,
+        scratch: &mut KernelScratch,
+    ) -> Option<usize> {
+        if v >= view.num_nodes() {
+            return None;
+        }
+        let KernelScratch {
+            ball,
+            build,
+            inputs,
+            fwd,
+            walk,
+            ..
+        } = scratch;
+        ball.rebuild(view, v, self.prop_iters, build);
+        self.local_inputs_into(view.graph(), ball.nodes(), inputs);
+        let certified = self
+            .walk_bound(ball, inputs)
+            .and_then(|bound| certified_top(self.walk(ball, inputs, &[], walk), bound));
+        Some(certified.unwrap_or_else(|| vector::argmax(ball_logits_into(self, ball, inputs, fwd))))
+    }
+
     /// The walk-weight top class when certified, else the exact forward.
     fn removal_keeps_label(
         &self,
@@ -556,33 +776,63 @@ impl GnnModel for Appnp {
         removed: &[Edge],
         scratch: &mut KernelScratch,
     ) -> bool {
-        match self.certified_top(removed, &mut scratch.removal) {
-            Some(top) => top == label,
+        match self.base_bound(&mut scratch.removal) {
+            Some(bound) => self.first_loss(label, bound, &[removed], scratch).is_none(),
             None => vector::argmax(removal_logits_into(self, removed, scratch)) == label,
         }
     }
 
-    /// Walk-weight margins, with every run of near-ties re-scored exactly.
-    /// A walk margin is within `2 * bound` of the exact one, so two
-    /// candidates whose walk margins lie more than `4 * bound` apart are
-    /// ordered as their exact margins are, and an exact margin keeps that
-    /// order against a candidate more than `4 * bound` away too. Keys of
-    /// candidates with a neighbor (in walk order) closer than that are
-    /// replaced by their exact margins, so a stable sort by key orders every
-    /// pair exactly as the exact margins do, ties by position included.
+    /// Prefixes in blocks of 8 walk columns, stopping at the
+    /// first block that holds a flip.
+    fn first_flipping_prefix(
+        &self,
+        label: usize,
+        edges: &[Edge],
+        scratch: &mut KernelScratch,
+    ) -> Option<usize> {
+        let Some(bound) = self.base_bound(&mut scratch.removal) else {
+            return (0..edges.len()).find(|&i| {
+                vector::argmax(removal_logits_into(self, &edges[..=i], scratch)) != label
+            });
+        };
+        (0..edges.len()).step_by(WALK_BLOCK).find_map(|start| {
+            let end = (start + WALK_BLOCK).min(edges.len());
+            let prefixes: Vec<&[Edge]> = (start..end).map(|i| &edges[..=i]).collect();
+            self.first_loss(label, bound, &prefixes, scratch)
+                .map(|k| start + k)
+        })
+    }
+
+    /// Walk-weight margins in blocks of 8 candidates, with
+    /// every run of near-ties re-scored exactly. A walk margin is within
+    /// `2 * bound` of the exact one, so two candidates whose walk margins
+    /// lie more than `4 * bound` apart are ordered as their exact margins
+    /// are, and an exact margin keeps that order against a candidate more
+    /// than `4 * bound` away too. Keys of candidates with a neighbor (in
+    /// walk order) closer than that are replaced by their exact margins, so
+    /// a stable sort by key orders every pair exactly as the exact margins
+    /// do, ties by position included.
     fn removal_ranking_keys(
         &self,
         label: usize,
         candidates: &[Edge],
         scratch: &mut KernelScratch,
     ) -> Vec<f64> {
-        let Some(bound) = self.walk_bound(&mut scratch.removal) else {
+        let Some(bound) = self.base_bound(&mut scratch.removal) else {
             return removal_margins(self, label, candidates, scratch);
         };
-        let mut keys: Vec<f64> = candidates
-            .iter()
-            .map(|&e| margin_of_row(self.walk_logits(&[e], &mut scratch.removal), label))
-            .collect();
+        let classes = self.num_classes();
+        let mut keys: Vec<f64> = Vec::with_capacity(candidates.len());
+        for block in candidates.chunks(WALK_BLOCK) {
+            let columns: Vec<&[Edge]> = block.iter().map(std::slice::from_ref).collect();
+            let KernelScratch { removal, walk, .. } = &mut *scratch;
+            let z = self.walk(&removal.ball, &removal.inputs, &columns, walk);
+            keys.extend(
+                z.chunks(classes)
+                    .take(block.len())
+                    .map(|row| margin_of_row(row, label)),
+            );
+        }
         if keys.iter().any(|m| !m.is_finite()) {
             return removal_margins(self, label, candidates, scratch);
         }

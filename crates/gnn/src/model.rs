@@ -24,7 +24,7 @@
 //! verification flips ≤k pairs of a candidate pool on `G` and on `G \ G_w`.
 //! The defaults run the exact forward over the variant; a model may answer
 //! from a cheaper computation that provably agrees (GCN's delta forward,
-//! APPNP's walk weights).
+//! APPNP's walk weights, which also answer its `predict_with`).
 
 use crate::appnp::WalkScratch;
 use crate::gcn::LayerCache;
@@ -71,11 +71,12 @@ pub(crate) fn pack_all(weights: &[Matrix]) -> Vec<PackedWeights> {
 
 /// All working memory a localized inference query needs: the receptive-field
 /// ball and its BFS scratch, the ball's input rows
-/// ([`GnnModel::local_inputs_into`]), the per-layer forward buffers, and the
+/// ([`GnnModel::local_inputs_into`]), the per-layer forward buffers, the
 /// [`VariantBase`] of the removal-variant queries
-/// ([`GnnModel::set_removal_base`]). One `KernelScratch` per worker makes
-/// `predict_with` and the removal-variant queries allocation-free in steady
-/// state; results are bit-identical to the allocating entry points.
+/// ([`GnnModel::set_removal_base`]), and APPNP's walk buffers. One
+/// `KernelScratch` per worker makes `predict_with` and the removal-variant
+/// queries allocation-free in steady state; results are bit-identical to the
+/// allocating entry points.
 #[derive(Debug)]
 pub struct KernelScratch {
     pub(crate) ball: Locality,
@@ -83,6 +84,7 @@ pub struct KernelScratch {
     pub(crate) inputs: Matrix,
     pub(crate) fwd: ForwardScratch,
     pub(crate) removal: VariantBase,
+    pub(crate) walk: WalkScratch,
 }
 
 impl Default for KernelScratch {
@@ -93,6 +95,7 @@ impl Default for KernelScratch {
             inputs: Matrix::zeros(0, 0),
             fwd: ForwardScratch::default(),
             removal: VariantBase::default(),
+            walk: WalkScratch::default(),
         }
     }
 }
@@ -100,17 +103,15 @@ impl Default for KernelScratch {
 /// One base of the variant queries: the receptive-field ball of one node
 /// on a base view, its input rows, the scratch each flip variant is derived
 /// into, and what a model answering from its own computation keeps per base
-/// (GCN's per-layer base outputs, APPNP's walk buffers and certified error
-/// bound). Built by [`VariantBase::rebuild`]; every view it answers is the
-/// base view with a few edges removed or inserted
-/// ([`GnnModel::variant_logits_into`]).
+/// (GCN's per-layer base outputs, APPNP's certified error bound). Built by
+/// [`VariantBase::rebuild`]; every view it answers is the base view with a
+/// few edges removed or inserted ([`GnnModel::variant_logits_into`]).
 #[derive(Debug)]
 pub struct VariantBase {
     pub(crate) ball: Locality,
     pub(crate) inputs: Matrix,
     pub(crate) variant: BallVariant,
     pub(crate) layers: LayerCache,
-    pub(crate) walk: WalkScratch,
     /// Per-logit error bound of the approximate answers over this base,
     /// derived lazily by the model; `None` until then.
     pub(crate) bound: Option<f64>,
@@ -123,7 +124,6 @@ impl Default for VariantBase {
             inputs: Matrix::zeros(0, 0),
             variant: BallVariant::default(),
             layers: LayerCache::default(),
-            walk: WalkScratch::default(),
             bound: None,
         }
     }
@@ -340,6 +340,7 @@ pub trait GnnModel: Send + Sync {
     /// Makes `v`'s receptive-field ball under `base` the *removal base* of
     /// `scratch`. The ball and its input rows are built once here; every
     /// removal-variant query after it ([`GnnModel::removal_keeps_label`],
+    /// [`GnnModel::first_flipping_prefix`],
     /// [`GnnModel::removal_ranking_keys`], [`removal_logits_into`],
     /// [`removal_margins`]) evaluates a view `base \ removed` as a variant of
     /// that ball ([`GnnModel::variant_logits_into`]) instead of building a ball
@@ -394,6 +395,22 @@ pub trait GnnModel: Send + Sync {
         scratch: &mut KernelScratch,
     ) -> bool {
         vector::argmax(removal_logits_into(self, removed, scratch)) == label
+    }
+
+    /// The first prefix of `edges` whose removal from the removal base makes
+    /// its center lose `label`: the smallest `i` with
+    /// `!removal_keeps_label(label, &edges[..=i])`, or `None` when every
+    /// prefix keeps it. `edges` must be distinct edges visible in the base
+    /// view. The default asks [`GnnModel::removal_keeps_label`] about each
+    /// prefix in order; an override may answer several prefixes at once,
+    /// but must return the same index.
+    fn first_flipping_prefix(
+        &self,
+        label: usize,
+        edges: &[Edge],
+        scratch: &mut KernelScratch,
+    ) -> Option<usize> {
+        (0..edges.len()).find(|&i| !self.removal_keeps_label(label, &edges[..=i], scratch))
     }
 
     /// Ranking keys of single-edge removals from the removal base: a stable
@@ -462,14 +479,29 @@ pub fn localized_logits_into<'s, M: GnnModel + ?Sized>(
     view: &GraphView<'_>,
     scratch: &'s mut KernelScratch,
 ) -> &'s [f64] {
-    scratch
-        .ball
-        .rebuild(view, v, model.receptive_hops(), &mut scratch.build);
-    model.local_inputs_into(view.graph(), scratch.ball.nodes(), &mut scratch.inputs);
-    let ctx = scratch.ball.forward_ctx();
-    let z = model.forward_local_into(&ctx, &scratch.inputs, &mut scratch.fwd);
+    let KernelScratch {
+        ball,
+        build,
+        inputs,
+        fwd,
+        ..
+    } = scratch;
+    ball.rebuild(view, v, model.receptive_hops(), build);
+    model.local_inputs_into(view.graph(), ball.nodes(), inputs);
+    ball_logits_into(model, ball, inputs, fwd)
+}
+
+/// The center's logits row of one exact localized forward over `ball`, whose
+/// input rows `inputs` holds; the row borrows `fwd`.
+pub(crate) fn ball_logits_into<'s, M: GnnModel + ?Sized>(
+    model: &M,
+    ball: &Locality,
+    inputs: &Matrix,
+    fwd: &'s mut ForwardScratch,
+) -> &'s [f64] {
+    let z = model.forward_local_into(&ball.forward_ctx(), inputs, fwd);
     let k = model.num_classes();
-    let center = scratch.ball.center_index();
+    let center = ball.center_index();
     &z[center * k..(center + 1) * k]
 }
 

@@ -562,15 +562,6 @@ impl<'a> ForwardCtx<'a> {
         }
     }
 
-    /// Per-node `1 / (d + 1)` when the context carries cached
-    /// normalization vectors (every ball and ball variant does).
-    pub fn inv_deg(&self) -> Option<&'a [f64]> {
-        match self.norms {
-            NormSource::Cached(n) => Some(n.inv_deg()),
-            NormSource::Degrees(_) => None,
-        }
-    }
-
     /// Number of nodes (rows) in the compute graph.
     pub fn num_nodes(&self) -> usize {
         self.csr.num_nodes()
@@ -865,7 +856,11 @@ mod tests {
                 // degrees: the flipped view's true degrees
                 let degree = flipped.neighbors(u).len() as f64;
                 assert_eq!(ctx.degrees()[l], degree, "case {i} degree of {u}");
-                assert_eq!(ctx.inv_deg().unwrap()[l], 1.0 / (degree + 1.0));
+                let norms = match ctx.norms {
+                    NormSource::Cached(n) => n,
+                    NormSource::Degrees(_) => unreachable!("ball variants cache their norms"),
+                };
+                assert_eq!(norms.inv_deg()[l], 1.0 / (degree + 1.0));
             }
             // the changed rows are exactly the in-ball endpoints
             let mut changed = variant.changed().to_vec();

@@ -51,8 +51,6 @@ impl Default for PriConfig {
 pub struct PriResult {
     /// The selected disturbance (node-pair flips).
     pub disturbance: EdgeSet,
-    /// Objective value `pi_E(v)^T r` under the selected disturbance.
-    pub objective: f64,
     /// Number of policy-iteration rounds executed.
     pub rounds: usize,
 }
@@ -130,15 +128,8 @@ pub fn pri_search(
         }
     }
 
-    // Final objective under the selected disturbance.
-    let disturbed = base_view.flipped(&current);
-    let csr = Csr::from_view(&disturbed);
-    let x = value_function(&csr, r, cfg.alpha, cfg.value_iters);
-    let objective = (1.0 - cfg.alpha) * x.get(target).copied().unwrap_or(0.0);
-
     PriResult {
         disturbance: current,
-        objective,
         rounds,
     }
 }
@@ -209,6 +200,19 @@ mod tests {
         g
     }
 
+    /// The objective `pi_E(v)^T r` of a search result: `(1 - alpha)` times
+    /// the value function at `target` on the view flipped by `disturbance`.
+    fn objective(
+        base_view: &GraphView<'_>,
+        disturbance: &EdgeSet,
+        r: &[f64],
+        target: NodeId,
+        cfg: &PriConfig,
+    ) -> f64 {
+        let csr = Csr::from_view(&base_view.flipped(disturbance));
+        (1.0 - cfg.alpha) * value_function(&csr, r, cfg.alpha, cfg.value_iters)[target]
+    }
+
     #[test]
     fn pri_increases_the_objective() {
         let g = barbell();
@@ -223,14 +227,11 @@ mod tests {
         };
         let candidates: Vec<Edge> = vec![(0, 3), (0, 4), (0, 5), (0, 1), (0, 2)];
         let result = pri_search(&view, &candidates, &r, 0, &cfg);
-        // baseline objective with no disturbance
-        let csr = Csr::from_view(&view);
-        let base_obj = (1.0 - cfg.alpha) * value_function(&csr, &r, cfg.alpha, 80)[0];
+        let base_obj = objective(&view, &EdgeSet::new(), &r, 0, &cfg);
+        let obj = objective(&view, &result.disturbance, &r, 0, &cfg);
         assert!(
-            result.objective > base_obj,
-            "PRI should improve the objective: {} vs {}",
-            result.objective,
-            base_obj
+            obj > base_obj,
+            "PRI should improve the objective: {obj} vs {base_obj}"
         );
         assert!(!result.disturbance.is_empty());
         assert!(result.rounds >= 1);

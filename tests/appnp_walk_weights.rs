@@ -1,20 +1,23 @@
 //! APPNP's certified walk-weight answers against the exact forward.
 //!
-//! `Appnp` answers the generator's removal-variant queries — the label
-//! decision `removal_keeps_label` and the candidate ranking
-//! `removal_ranking_keys` — from walk weights over the shared ball, and runs
-//! the exact forward only where a floating-point error bound cannot certify
-//! the answer. These tests pin both answers against the trait's exact
-//! defaults on seeded SBM graphs and on CiteSeer Tiny/Small, force the exact
-//! near-tie path with a symmetric construction, and check that whole engine
-//! sessions (queries, a disturbance, repair, re-queries) return identical
-//! results with and without the walk-weight answers.
+//! `Appnp` answers label decisions from walk weights: the generator's
+//! removal-variant queries (`removal_keeps_label`, `removal_ranking_keys`
+//! and `first_flipping_prefix`, which walk up to eight removal variants of
+//! the shared ball together) and every `predict_with`. It runs the exact
+//! forward only where a floating-point error bound cannot certify the
+//! answer. These tests pin every answer against the exact defaults on seeded
+//! SBM graphs and on CiteSeer Tiny/Small: ranking blocks of 1, 7, 8, 9 and 17
+//! candidates, prefixes that share endpoints or reach past the ball, and
+//! predictions over restricted, remainder and flipped views. They force the
+//! exact near-tie path with a symmetric construction, and check that whole
+//! engine sessions (queries, a disturbance, repair, re-queries) return
+//! identical results with and without the walk-weight answers.
 
 use robogexp::core::{
     DisturbReport, DisturbanceSearch, EngineCaches, GenerationResult, VerifiableModel,
 };
 use robogexp::datasets::citeseer;
-use robogexp::gnn::model::{removal_logits_into, removal_margins};
+use robogexp::gnn::model::{localized_logits_row, removal_logits_into, removal_margins};
 use robogexp::gnn::{ForwardScratch, KernelScratch};
 use robogexp::graph::generators::{ensure_connected, stochastic_block_model};
 use robogexp::graph::traversal::k_hop_neighborhood;
@@ -69,9 +72,50 @@ fn stable_order(keys: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Checks both walk-weight answers of `model` for center `v` under `base`
-/// against the exact defaults; returns how many ranking keys came from the
-/// walk (differ from the exact margin), to show the walk path ran.
+/// Candidate-block sizes the ranking is checked at: a lone column, a block
+/// one short of full, a full block, one past it, and two blocks plus one.
+const BLOCK_SIZES: [usize; 5] = [1, 7, 8, 9, 17];
+
+/// The views a prediction is checked on: `v`'s incident edges and 1-hop ball
+/// alone, the graph without them, and the graph with a few pool pairs
+/// flipped (removals sharing endpoints, and insertions).
+fn prediction_views<'g>(g: &'g Graph, v: NodeId, pool: &[Edge]) -> Vec<GraphView<'g>> {
+    let incident: EdgeSet = g.neighbors(v).map(|u| (v, u)).collect();
+    let ball: EdgeSet = k_hop_neighborhood(g, v, 1)
+        .iter()
+        .flat_map(|&u| g.neighbors(u).map(move |w| (u, w)))
+        .collect();
+    let hood = k_hop_neighborhood(g, v, 2);
+    let absent: Vec<Edge> = hood
+        .iter()
+        .flat_map(|&a| hood.iter().map(move |&b| (a, b)))
+        .filter(|&(a, b)| a < b && !g.has_edge(a, b))
+        .step_by(3)
+        .take(3)
+        .collect();
+    let flips: EdgeSet = pool
+        .iter()
+        .step_by(2)
+        .take(3)
+        .chain(&absent)
+        .copied()
+        .collect();
+    let full = GraphView::full(g);
+    vec![
+        full.clone(),
+        GraphView::restricted_to(g, &incident),
+        GraphView::restricted_to(g, &ball),
+        GraphView::without(g, &incident),
+        GraphView::without(g, &ball),
+        full.flipped(&flips),
+        GraphView::without(g, &incident).flipped(&absent.iter().copied().collect()),
+    ]
+}
+
+/// Checks every walk-weight answer of `model` for center `v` under `base`
+/// against the exact defaults, with one scratch throughout (so predictions
+/// interleave with the removal base); returns how many ranking keys came
+/// from the walk (differ from the exact margin), to show the walk path ran.
 fn assert_walk_answers_exact(case: &str, model: &Appnp, v: NodeId, base: &GraphView<'_>) -> usize {
     let mut scratch = KernelScratch::default();
     model.set_removal_base(v, base, &mut scratch);
@@ -81,14 +125,25 @@ fn assert_walk_answers_exact(case: &str, model: &Appnp, v: NodeId, base: &GraphV
         .collect();
     let mut walk_keys = 0;
     for label in 0..model.num_classes() {
-        let keys = model.removal_ranking_keys(label, &pool, &mut scratch);
-        let exact = removal_margins(model, label, &pool, &mut scratch);
+        for size in BLOCK_SIZES.into_iter().chain([pool.len()]) {
+            let block = &pool[..size.min(pool.len())];
+            let keys = model.removal_ranking_keys(label, block, &mut scratch);
+            let exact = removal_margins(model, label, block, &mut scratch);
+            assert_eq!(
+                stable_order(&keys),
+                stable_order(&exact),
+                "{case}: node {v}, label {label}, {size} candidates: walk ranking differs"
+            );
+            walk_keys += keys.iter().zip(&exact).filter(|(k, e)| k != e).count();
+        }
+    }
+    for view in prediction_views(base.graph(), v, &pool) {
+        let exact = vector::argmax(&localized_logits_row(model, v, &view));
         assert_eq!(
-            stable_order(&keys),
-            stable_order(&exact),
-            "{case}: node {v}, label {label}: walk ranking differs from the exact one"
+            model.predict_with(v, &view, &mut scratch),
+            Some(exact),
+            "{case}: node {v}: prediction differs from the exact forward"
         );
-        walk_keys += keys.iter().zip(&exact).filter(|(k, e)| k != e).count();
     }
     let singles = pool.iter().map(std::slice::from_ref);
     let prefixes = (2..=pool.len().min(8)).map(|n| &pool[..n]);
@@ -100,6 +155,26 @@ fn assert_walk_answers_exact(case: &str, model: &Appnp, v: NodeId, base: &GraphV
                 exact,
                 "{case}: node {v} without {removed:?}: label {label} decision differs"
             );
+        }
+    }
+    // The first flipping prefix against the sequential exact default, in
+    // pool order (the first prefixes share `v`) and in the order the
+    // generator absorbs edges (by exact margin), cut at every block size.
+    for label in 0..model.num_classes() {
+        let margins = removal_margins(model, label, &pool, &mut scratch);
+        let ranked: Vec<Edge> = stable_order(&margins).iter().map(|&i| pool[i]).collect();
+        for edges in [&pool, &ranked] {
+            let first = (0..edges.len()).find(|&i| {
+                vector::argmax(removal_logits_into(model, &edges[..=i], &mut scratch)) != label
+            });
+            for size in BLOCK_SIZES.into_iter().chain([edges.len()]) {
+                let edges = &edges[..size.min(edges.len())];
+                assert_eq!(
+                    model.first_flipping_prefix(label, edges, &mut scratch),
+                    first.filter(|&i| i < edges.len()),
+                    "{case}: node {v}, label {label}, {size} prefixes: first flip differs"
+                );
+            }
         }
     }
     walk_keys
@@ -126,11 +201,13 @@ fn walk_answers_equal_the_exact_defaults_on_sbm_sweeps() {
     for seed in 0u64..6 {
         let g = sbm_graph(seed);
         let n = g.num_nodes();
-        for alpha in [0.15, 0.2, 0.85] {
-            let model = Appnp::new(&[4, 6, 3], alpha, 7, seed);
+        // one- and two-hop walks leave pool edges with one or both
+        // endpoints outside the ball
+        for (alpha, iters) in [(0.15, 7), (0.2, 7), (0.85, 7), (0.85, 1), (0.2, 2)] {
+            let model = Appnp::new(&[4, 6, 3], alpha, iters, seed);
             for v in [0, n / 3, n / 2, n - 1] {
                 for (i, base) in bases(&g, v).iter().enumerate() {
-                    let case = format!("sbm seed {seed} alpha {alpha} base {i}");
+                    let case = format!("sbm seed {seed} alpha {alpha} iters {iters} base {i}");
                     walk_keys += assert_walk_answers_exact(&case, &model, v, base);
                 }
             }
@@ -211,9 +288,11 @@ fn mirror_leaves_tie_bit_for_bit_and_keep_position_order() {
     assert!(walk_keys > 0, "no ranking key came from the walk weights");
 }
 
-/// `Appnp` with the trait's exact removal-variant defaults: the kernels and
-/// the verifier are `Appnp`'s, but `removal_keeps_label` and
-/// `removal_ranking_keys` always run the exact forward.
+/// `Appnp` with every trait default: the kernels and the verifier are
+/// `Appnp`'s, but the generator's `predict_with`, `removal_keeps_label`,
+/// `removal_ranking_keys` and `first_flipping_prefix` always run the exact
+/// forward. (The verifier's own predictions are `Appnp`'s, pinned by the
+/// prediction sweeps above.)
 struct ExactAppnp(Appnp);
 
 impl GnnModel for ExactAppnp {
