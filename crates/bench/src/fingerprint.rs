@@ -8,26 +8,28 @@
 //! a change that moves answers on purpose regenerates the file and declares
 //! the diff. `rcw_fingerprint` prints the lines and compares the digests.
 //!
-//! Engines: `rcw_serve`'s session config on CiteSeer Tiny and Small (GCN at
+//! Engines: `rcw_serve`'s session config ([`serve_config`] at its default
+//! `k`) on CiteSeer Tiny and Small (GCN at
 //! one worker, APPNP at one and two workers, models trained as `rcw_serve`
 //! trains them) and untrained GraphSAGE and GAT on a seeded SBM. Each runs
 //! the same script: cold queries, disturbances with repair, the same
 //! queries again, then `WitnessEngine::verify` on every re-queried witness.
 
 use crate::replay::Fnv;
-use rcw_core::{
-    DisturbReport, GenerationResult, RcwConfig, VerifiableModel, VerifyOutcome, WitnessEngine,
-};
+use rcw_core::{DisturbReport, GenerationResult, VerifiableModel, VerifyOutcome, WitnessEngine};
 use rcw_datasets::{citeseer, Scale};
 use rcw_gnn::{Gat, GraphSage};
 use rcw_graph::generators::{ensure_connected, stochastic_block_model};
 use rcw_graph::{Disturbance, Edge, Graph, NodeId};
 use rcw_linalg::rng::Rng;
+use rcw_server::serve_config;
 use std::sync::Arc;
 
 /// Seed of the datasets, the trained models and the query draws
 /// (`rcw_serve`'s default).
 const SEED: u64 = 7;
+/// `rcw_serve`'s default disturbance budget.
+const K: usize = 2;
 /// Node sets queried per engine.
 const QUERIES: usize = 40;
 
@@ -40,20 +42,6 @@ pub struct EngineFingerprint {
     pub lines: Vec<String>,
     /// FNV-1a over the lines, each followed by a newline.
     pub digest: u64,
-}
-
-/// `rcw_serve`'s session config at its default `k = 2`.
-fn serve_config() -> RcwConfig {
-    RcwConfig {
-        k: 2,
-        local_budget: 2,
-        candidate_hops: 2,
-        max_expand_rounds: 3,
-        sampled_disturbances: 6,
-        pri_rounds: 4,
-        ppr_iters: 20,
-        ..RcwConfig::default()
-    }
 }
 
 /// Runs every engine of the workload.
@@ -160,7 +148,7 @@ fn fingerprint<M: VerifiableModel>(
     pool: &[NodeId],
 ) -> EngineFingerprint {
     let engine =
-        WitnessEngine::new(Arc::new(graph.clone()), model, serve_config()).with_workers(workers);
+        WitnessEngine::new(Arc::new(graph.clone()), model, serve_config(K)).with_workers(workers);
     let queries = queries(pool);
     let mut lines = Vec::new();
     for q in &queries {

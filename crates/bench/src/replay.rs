@@ -69,11 +69,6 @@ impl ReplayPlan {
         ReplayPlan { seed, events }
     }
 
-    /// Total flips across all events.
-    pub fn total_flips(&self) -> usize {
-        self.events.iter().map(|e| e.flips.len()).sum()
-    }
-
     /// Order-sensitive content hash of the plan (FNV-1a over the event
     /// offsets and flips). Two plans with equal digests fire the same
     /// disturbances at the same offsets.
@@ -118,26 +113,36 @@ pub fn rebase_epochs(base: u64, updates: &mut [WitnessUpdate]) {
 
 /// FNV-1a, 64-bit. Stable across platforms and runs — exactly the property
 /// the digests need (std's `DefaultHasher` is randomly keyed per process).
-pub(crate) struct Fnv(u64);
+pub struct Fnv(u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
+    /// The empty hash (FNV-1a's offset basis).
+    pub fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
+    /// Folds `bytes` into the hash, in order.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
+    /// Folds `v`'s little-endian bytes into the hash.
+    pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
     }
 }
 
@@ -170,7 +175,7 @@ mod tests {
         let g = ladder(16);
         let plan = ReplayPlan::from_graph(&g, 3, 4, 3, Duration::from_millis(10));
         assert_eq!(plan.events.len(), 4);
-        assert_eq!(plan.total_flips(), 12);
+        assert!(plan.events.iter().all(|e| e.flips.len() == 3));
         for (i, event) in plan.events.iter().enumerate() {
             assert_eq!(event.at, Duration::from_millis(10) * i as u32);
             let mut seen = event.flips.clone();

@@ -89,12 +89,6 @@ impl RcwConfig {
         self
     }
 
-    /// Returns a copy with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Returns a copy with a different candidate-pair bound `m`.
     pub fn with_max_candidate_pairs(mut self, m: usize) -> Self {
         self.max_candidate_pairs = m;
@@ -127,13 +121,10 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let cfg = RcwConfig::with_budgets(10, 3)
-            .with_strategy(DisturbanceStrategy::Mixed)
-            .with_seed(99);
+        let cfg = RcwConfig::with_budgets(10, 3).with_strategy(DisturbanceStrategy::Mixed);
         assert_eq!(cfg.k, 10);
         assert_eq!(cfg.local_budget, 3);
         assert_eq!(cfg.strategy, DisturbanceStrategy::Mixed);
-        assert_eq!(cfg.seed, 99);
         assert!(cfg.validate().is_ok());
     }
 

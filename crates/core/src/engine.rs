@@ -587,15 +587,6 @@ impl<'m, M: VerifiableModel + ?Sized> WitnessEngine<'m, M> {
         lock_recover(&self.store).len()
     }
 
-    /// Drops all stored witnesses (queries become cold again; the shared
-    /// immutable tier is unaffected).
-    pub fn clear_store(&self) {
-        self.store
-            .lock()
-            .expect("engine store lock poisoned")
-            .clear();
-    }
-
     /// Verifies a witness against the engine's current graph and model
     /// through the shared tier.
     pub fn verify(&self, witness: &Witness) -> crate::witness::VerifyOutcome {

@@ -79,11 +79,6 @@ impl SessionBudget {
         self.deadline
     }
 
-    /// Whether this budget can ever expire.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-    }
-
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)

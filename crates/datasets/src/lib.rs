@@ -147,24 +147,19 @@ pub(crate) fn split(graph: &Graph, train_fraction: f64, seed: u64) -> (Vec<NodeI
     rcw_gnn::train_test_split(&labeled, train_fraction, seed)
 }
 
-/// Builds all four benchmark datasets at the given scale (Reddit only at
-/// `Full` is large; at smaller scales it shrinks accordingly).
-pub fn all_benchmark_datasets(scale: Scale, seed: u64) -> Vec<Dataset> {
-    vec![
-        bahouse::build(scale, seed),
-        citeseer::build(scale, seed),
-        ppi::build(scale, seed),
-        reddit::build(scale, seed),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_datasets_build_at_tiny_scale() {
-        for ds in all_benchmark_datasets(Scale::Tiny, 1) {
+        let all = [
+            bahouse::build(Scale::Tiny, 1),
+            citeseer::build(Scale::Tiny, 1),
+            ppi::build(Scale::Tiny, 1),
+            reddit::build(Scale::Tiny, 1),
+        ];
+        for ds in all {
             assert!(ds.graph.num_nodes() > 0, "{} empty", ds.name);
             assert!(ds.graph.num_edges() > 0, "{} has no edges", ds.name);
             assert!(ds.num_classes() >= 2, "{} needs >= 2 classes", ds.name);

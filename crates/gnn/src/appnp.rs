@@ -37,7 +37,7 @@ use crate::model::{
     removal_margins, sized, ForwardScratch, GnnModel, KernelScratch, VariantBase,
 };
 use crate::train::{Adam, TrainConfig, TrainReport};
-use rcw_graph::{Csr, Edge, ForwardCtx, Graph, GraphView, Locality, NodeId};
+use rcw_graph::{Csr, CsrNorms, Edge, ForwardCtx, Graph, GraphView, Locality, NodeId};
 use rcw_linalg::{init, matmul_packed_rows, vector, Activation, Matrix, PackedWeights};
 use std::sync::Arc;
 
@@ -197,41 +197,6 @@ impl Appnp {
             let dim = self.mlp_scratch(&x, &mut s);
             Matrix::from_vec(x.rows(), dim, s.a)
         })
-    }
-
-    /// Applies the propagation `Z = (1-alpha)(I - alpha P)^{-1} H` by
-    /// fixed-point iteration, where `P = D^{-1}(A + I)` over the view.
-    pub fn propagate(&self, csr: &Csr, h: &Matrix) -> Matrix {
-        let degrees: Vec<f64> = (0..csr.num_nodes()).map(|u| csr.degree(u) as f64).collect();
-        self.propagate_ctx(&ForwardCtx::full(csr, &degrees), h)
-    }
-
-    /// [`Appnp::propagate`] over an explicit compute graph. Iteration `t` of
-    /// `T` only computes rows that can still reach the scheduled output
-    /// (`remaining = T - t` rounds follow); unscheduled rows keep stale values
-    /// that no later iteration reads.
-    pub fn propagate_ctx(&self, ctx: &ForwardCtx<'_>, h: &Matrix) -> Matrix {
-        let dim = h.cols();
-        let n = h.rows();
-        let base = h.scale(1.0 - self.alpha);
-        let mut z = base.clone();
-        let mut buf = vec![0.0; n * dim];
-        for t in 1..=self.prop_iters {
-            let rows = ctx.active_rows(self.prop_iters - t);
-            ctx.csr()
-                .spmm_row_norm_deg(ctx.degrees(), z.data(), dim, &mut buf, rows);
-            let mut update = |u: usize| {
-                for c in 0..dim {
-                    let v = buf[u * dim + c] * self.alpha + base.get(u, c);
-                    z.set(u, c, v);
-                }
-            };
-            match rows {
-                None => (0..n).for_each(&mut update),
-                Some(rows) => rows.iter().copied().for_each(&mut update),
-            }
-        }
-        z
     }
 
     /// The MLP half of the zero-allocation forward kernel: `H = f_theta(X)`
@@ -622,6 +587,9 @@ impl Appnp {
         let labels = graph.labels_vec();
         let targets = one_hot_labels(&labels, self.num_classes());
         let csr = Csr::from_view(view);
+        let norms = CsrNorms::from_csr(&csr);
+        let ctx = ForwardCtx::full_with_norms(&csr, &norms);
+        let mut scratch = ForwardScratch::default();
         let x0 = crate::pad_features(&graph.feature_matrix(), self.feature_dim());
         let mut optimizers: Vec<Adam> = self
             .weights
@@ -634,17 +602,22 @@ impl Appnp {
         for _epoch in 0..cfg.epochs {
             let (pre, post) = self.mlp_forward(&x0);
             let h = post.last().expect("non-empty MLP");
-            let z = self.propagate(&csr, h);
+            // The inference kernel's propagation half, which reads `H` from
+            // the scratch's first buffer.
+            let (n, dim) = (h.rows(), h.cols());
+            scratch.a.clear();
+            scratch.a.extend_from_slice(h.data());
+            let z = self.propagate_scratch(&ctx, n, dim, &mut scratch);
 
             let mut loss = 0.0;
             let mut correct = 0usize;
-            let mut d_z = Matrix::zeros(z.rows(), z.cols());
+            let mut d_z = Matrix::zeros(n, dim);
             for &v in train_nodes {
                 let target = match labels[v] {
                     Some(t) => t,
                     None => continue,
                 };
-                let row = z.row(v);
+                let row = &z[v * dim..(v + 1) * dim];
                 loss += vector::cross_entropy(row, target) * inv_batch;
                 if vector::argmax(row) == target {
                     correct += 1;
@@ -911,19 +884,15 @@ mod tests {
         // because P is row-stochastic: the fixed point of z = aPz + (1-a)h
         // with h constant is z = h.
         let g = two_cluster_graph();
-        let view = GraphView::full(&g);
-        let csr = Csr::from_view(&view);
+        let csr = Csr::from_view(&GraphView::full(&g));
+        let norms = CsrNorms::from_csr(&csr);
         let m = Appnp::new(&[2, 2], 0.2, 50, 1);
-        let h = Matrix::filled(g.num_nodes(), 2, 3.0);
-        let z = m.propagate(&csr, &h);
-        for r in 0..z.rows() {
-            for c in 0..z.cols() {
-                assert!(
-                    (z.get(r, c) - 3.0).abs() < 1e-6,
-                    "z[{r}][{c}]={}",
-                    z.get(r, c)
-                );
-            }
+        let n = g.num_nodes();
+        let mut s = ForwardScratch::default();
+        s.a = vec![3.0; n * 2];
+        let z = m.propagate_scratch(&ForwardCtx::full_with_norms(&csr, &norms), n, 2, &mut s);
+        for (i, &x) in z.iter().enumerate() {
+            assert!((x - 3.0).abs() < 1e-6, "z[{}][{}]={x}", i / 2, i % 2);
         }
     }
 

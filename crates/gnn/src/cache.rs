@@ -58,15 +58,6 @@ impl<T> EpochCache<T> {
     pub fn invalidate(&self) {
         *self.slot.lock().expect("EpochCache lock poisoned") = None;
     }
-
-    /// The epoch of the cached value, if one is held.
-    pub fn cached_epoch(&self) -> Option<u64> {
-        self.slot
-            .lock()
-            .expect("EpochCache lock poisoned")
-            .as_ref()
-            .map(|(e, _)| *e)
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +79,6 @@ mod tests {
         assert_eq!(get(2), 20, "epoch change recomputes");
         assert_eq!(get(2), 20);
         assert_eq!(computes, 2);
-        assert_eq!(cache.cached_epoch(), Some(2));
     }
 
     #[test]
@@ -98,17 +88,19 @@ mod tests {
         let copy = cache.clone();
         assert_eq!(*copy.get_or_insert_with(3, || 2), 1, "clone starts warm");
         copy.invalidate();
-        assert_eq!(copy.cached_epoch(), None);
-        assert_eq!(cache.cached_epoch(), Some(3), "the original is untouched");
+        assert_eq!(*copy.get_or_insert_with(3, || 2), 2, "the clone recomputes");
+        assert_eq!(
+            *cache.get_or_insert_with(3, || 4),
+            1,
+            "the original is untouched"
+        );
     }
 
     #[test]
     fn invalidate_empties_the_slot() {
         let cache: EpochCache<u8> = EpochCache::new();
         cache.get_or_insert_with(7, || 1);
-        assert_eq!(cache.cached_epoch(), Some(7));
         cache.invalidate();
-        assert_eq!(cache.cached_epoch(), None);
         let mut recomputed = false;
         cache.get_or_insert_with(7, || {
             recomputed = true;

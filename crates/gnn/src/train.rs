@@ -48,11 +48,6 @@ impl TrainReport {
     pub fn final_loss(&self) -> f64 {
         self.losses.last().copied().unwrap_or(f64::INFINITY)
     }
-
-    /// Accuracy of the final epoch (0.0 when no epoch ran).
-    pub fn final_accuracy(&self) -> f64 {
-        self.accuracies.last().copied().unwrap_or(0.0)
-    }
 }
 
 /// Adam optimizer state for one weight matrix.
@@ -174,7 +169,6 @@ mod tests {
     fn report_defaults() {
         let r = TrainReport::default();
         assert!(r.final_loss().is_infinite());
-        assert_eq!(r.final_accuracy(), 0.0);
         let cfg = TrainConfig::default();
         assert!(cfg.epochs > 0 && cfg.learning_rate > 0.0);
     }

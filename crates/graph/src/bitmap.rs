@@ -7,7 +7,7 @@
 //! already been verified so that the coordinator does not re-verify them
 //! ("does not repeat the verified local ones").
 
-use crate::edge::{norm_edge, Edge};
+use crate::edge::norm_edge;
 use crate::graph::NodeId;
 
 /// A fixed-length bitset.
@@ -122,13 +122,6 @@ impl VerifiedPairBitmap {
         }
     }
 
-    /// Marks every pair of an edge list.
-    pub fn mark_all<I: IntoIterator<Item = Edge>>(&mut self, pairs: I) {
-        for (u, v) in pairs {
-            self.mark(u, v);
-        }
-    }
-
     /// Whether a pair has been verified already.
     pub fn is_marked(&self, u: NodeId, v: NodeId) -> bool {
         self.index(u, v).map(|i| self.bits.get(i)).unwrap_or(false)
@@ -215,13 +208,6 @@ mod tests {
         assert!(a.is_marked(3, 1));
         assert!(a.is_marked(4, 0));
         assert!(!a.is_marked(0, 1));
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn verified_pairs_mark_all() {
-        let mut a = VerifiedPairBitmap::new(4);
-        a.mark_all([(0, 1), (1, 2), (0, 1)]);
         assert_eq!(a.count(), 2);
     }
 }

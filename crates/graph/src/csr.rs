@@ -256,21 +256,6 @@ impl Csr {
         self.offsets.push(self.targets.len());
     }
 
-    /// Builds a CSR snapshot directly from adjacency lists.
-    pub fn from_adjacency(adj: &[Vec<NodeId>]) -> Self {
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let mut targets = Vec::new();
-        offsets.push(0);
-        for nbrs in adj {
-            let mut sorted = nbrs.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            targets.extend_from_slice(&sorted);
-            offsets.push(targets.len());
-        }
-        Csr { offsets, targets }
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.offsets.len() - 1
@@ -299,41 +284,19 @@ impl Csr {
     }
 
     /// Multiplies the symmetrically normalized adjacency (with self-loops)
-    /// `D^{-1/2} (A + I) D^{-1/2}` against a dense feature matrix given as a
+    /// `D^{-1/2} (A + I) D^{-1/2}` against a dense matrix given as a
     /// row-major buffer with `dim` columns, writing into `out`.
-    pub fn spmm_sym_norm(&self, x: &[f64], dim: usize, out: &mut [f64]) {
-        let norms = CsrNorms::from_csr(self);
-        self.spmm_sym_norm_cached(&norms, x, dim, out, None);
-    }
-
-    /// [`Csr::spmm_sym_norm`] with an explicit degree vector (without the
-    /// self-loop; `+1` is applied here) and an optional output-row schedule.
     ///
-    /// The explicit degrees let an induced receptive-field subgraph normalize
-    /// with the *host view's* true degrees, which is what makes localized
-    /// inference bit-exact. When `rows` is given, only those output rows are
-    /// written (the rest keep whatever they held); input rows outside the
-    /// schedule are still read, so callers must ensure they hold valid
-    /// values.
+    /// The degrees come from `norms`, not from the adjacency: an induced
+    /// receptive-field subgraph normalizes with the *host view's* true
+    /// degrees, which is what makes localized inference bit-exact. Input rows
+    /// outside a row schedule are still read, so callers must ensure they
+    /// hold valid values.
     ///
-    /// Rebuilds the normalization vectors on every call; hot paths should
-    /// cache a [`CsrNorms`] and call [`Csr::spmm_sym_norm_cached`] instead.
-    pub fn spmm_sym_norm_deg(
-        &self,
-        degrees: &[f64],
-        x: &[f64],
-        dim: usize,
-        out: &mut [f64],
-        rows: Option<&[usize]>,
-    ) {
-        let norms = CsrNorms::from_degrees(degrees.to_vec());
-        self.spmm_sym_norm_cached(&norms, x, dim, out, rows);
-    }
-
-    /// The vectorized symmetric-normalization SpMM: per-row accumulation into
-    /// an exact-width register tile (`dim` specializations for the common
-    /// column counts), self-loop term split out, normalization read from a
-    /// cached [`CsrNorms`]. Bit-identical to [`Csr::spmm_sym_norm_deg_ref`]:
+    /// The vectorized kernel: per-row accumulation into an exact-width
+    /// register tile (`dim` specializations for the common column counts),
+    /// self-loop term split out, normalization read from a cached
+    /// [`CsrNorms`]. Bit-identical to [`Csr::spmm_sym_norm_deg_ref`]:
     /// each output element is the same self-loop-first, neighbor-order
     /// accumulation chain starting from `0.0`. With a row schedule only the
     /// listed rows are written: a delta pass over buffers that hold a base
@@ -353,9 +316,10 @@ impl Csr {
         dispatch_dim!(self, sym_rows, sym_rows_dyn, norms, x, dim, out, rows)
     }
 
-    /// Scalar reference implementation of [`Csr::spmm_sym_norm_deg`] (the
-    /// loop the vectorized kernel replaced). Retained for the
-    /// kernel-equivalence sweeps and the `bench_kernels` baseline.
+    /// Scalar reference implementation of [`Csr::spmm_sym_norm_cached`] over
+    /// an explicit degree vector (the loop the vectorized kernel replaced).
+    /// Retained for the kernel-equivalence sweeps and the `bench_kernels`
+    /// baseline.
     pub fn spmm_sym_norm_deg_ref(
         &self,
         degrees: &[f64],
@@ -390,29 +354,10 @@ impl Csr {
     }
 
     /// Multiplies the row-normalized adjacency with self-loops
-    /// `D^{-1} (A + I)` against a dense matrix (APPNP's propagation operator).
-    pub fn spmm_row_norm(&self, x: &[f64], dim: usize, out: &mut [f64]) {
-        let norms = CsrNorms::from_csr(self);
-        self.spmm_row_norm_cached(&norms, x, dim, out, None);
-    }
-
-    /// [`Csr::spmm_row_norm`] with an explicit degree vector and an optional
-    /// output-row schedule; see [`Csr::spmm_sym_norm_deg`] for the contract.
-    pub fn spmm_row_norm_deg(
-        &self,
-        degrees: &[f64],
-        x: &[f64],
-        dim: usize,
-        out: &mut [f64],
-        rows: Option<&[usize]>,
-    ) {
-        let norms = CsrNorms::from_degrees(degrees.to_vec());
-        self.spmm_row_norm_cached(&norms, x, dim, out, rows);
-    }
-
-    /// The vectorized row-normalization SpMM; see
-    /// [`Csr::spmm_sym_norm_cached`] for the layout and exactness contract
-    /// (pinned against [`Csr::spmm_row_norm_deg_ref`]).
+    /// `D^{-1} (A + I)` against a dense matrix (APPNP's propagation
+    /// operator); see [`Csr::spmm_sym_norm_cached`] for the degree, schedule,
+    /// layout and exactness contract (pinned against
+    /// [`Csr::spmm_row_norm_deg_ref`]).
     pub fn spmm_row_norm_cached(
         &self,
         norms: &CsrNorms,
@@ -428,8 +373,9 @@ impl Csr {
         dispatch_dim!(self, row_rows, row_rows_dyn, norms, x, dim, out, rows)
     }
 
-    /// Scalar reference implementation of [`Csr::spmm_row_norm_deg`];
-    /// retained for the kernel-equivalence sweeps and `bench_kernels`.
+    /// Scalar reference implementation of [`Csr::spmm_row_norm_cached`] over
+    /// an explicit degree vector; retained for the kernel-equivalence sweeps
+    /// and `bench_kernels`.
     pub fn spmm_row_norm_deg_ref(
         &self,
         degrees: &[f64],
@@ -621,13 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn from_adjacency_sorts_and_dedups() {
-        let csr = Csr::from_adjacency(&[vec![2, 1, 1], vec![0], vec![0]]);
-        assert_eq!(csr.neighbors(0), &[1, 2]);
-        assert_eq!(csr.num_arcs(), 4);
-    }
-
-    #[test]
     fn sym_norm_spmm_of_constant_vector() {
         // For x = all-ones and symmetric normalization with self-loops,
         // row u gets sum over {u} ∪ N(u) of 1/sqrt(d_u d_v).
@@ -635,7 +574,7 @@ mod tests {
         let csr = Csr::from_view(&GraphView::full(&g));
         let x = vec![1.0; 4];
         let mut out = vec![0.0; 4];
-        csr.spmm_sym_norm(&x, 1, &mut out);
+        csr.spmm_sym_norm_cached(&CsrNorms::from_csr(&csr), &x, 1, &mut out, None);
         let d0 = 4.0_f64;
         let dleaf = 2.0_f64;
         let expected0 = 1.0 / d0 + 3.0 / (d0.sqrt() * dleaf.sqrt());
@@ -651,7 +590,7 @@ mod tests {
         let csr = Csr::from_view(&GraphView::full(&g));
         let x = vec![2.5; 4];
         let mut out = vec![0.0; 4];
-        csr.spmm_row_norm(&x, 1, &mut out);
+        csr.spmm_row_norm_cached(&CsrNorms::from_csr(&csr), &x, 1, &mut out, None);
         for v in out {
             assert!((v - 2.5).abs() < 1e-12);
         }
@@ -668,7 +607,7 @@ mod tests {
             0.0, 1.0,
         ];
         let mut out = vec![0.0; 8];
-        csr.spmm_row_norm(&x, 2, &mut out);
+        csr.spmm_row_norm_cached(&CsrNorms::from_csr(&csr), &x, 2, &mut out, None);
         // node 1 row: (x1 + x0) / 2 = (0+1, 1+0)/2
         assert!((out[2] - 0.5).abs() < 1e-12);
         assert!((out[3] - 0.5).abs() < 1e-12);
@@ -681,7 +620,7 @@ mod tests {
         let csr = Csr::from_view(&GraphView::full(&g));
         let x = vec![0.0; 3];
         let mut out = vec![0.0; 4];
-        csr.spmm_row_norm(&x, 1, &mut out);
+        csr.spmm_row_norm_cached(&CsrNorms::from_csr(&csr), &x, 1, &mut out, None);
     }
 
     #[test]
@@ -743,8 +682,11 @@ mod tests {
             .collect();
         inserted.sort_unstable();
         csr.edited_into(&sorted, &inserted, &mut out);
-        let expected = Csr::from_adjacency(&[vec![1, 3], vec![0, 3], vec![3], vec![0, 1, 2]]);
-        assert_eq!(out, expected);
+        let mut expected = Graph::with_nodes(4);
+        for (u, v) in [(0, 1), (0, 3), (1, 3), (2, 3)] {
+            expected.add_edge(u, v);
+        }
+        assert_eq!(out, Csr::from_graph(&expected));
         // a row that loses its only arc and gains one at the same spot
         let swap = [(csr.insert_position(3, 2), 3, 2)];
         csr.edited_into(&[csr.arc_position(3, 0).unwrap()], &swap, &mut out);
@@ -809,14 +751,6 @@ mod tests {
                         );
                     }
                 }
-                // the _deg compatibility entry points route through the
-                // vectorized kernel and must agree too
-                csr.spmm_sym_norm_deg(&degrees, &x, dim, &mut fast, None);
-                csr.spmm_sym_norm_deg_ref(&degrees, &x, dim, &mut slow, None);
-                assert_eq!(
-                    fast.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                    slow.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-                );
             }
         }
     }

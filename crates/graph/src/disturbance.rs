@@ -50,11 +50,6 @@ impl Disturbance {
         self.flips.insert(u, v)
     }
 
-    /// Checks the global budget: at most `k` flips.
-    pub fn respects_k(&self, k: usize) -> bool {
-        self.flips.len() <= k
-    }
-
     /// Checks the local budget: every node is incident to at most `b` flips.
     pub fn respects_local_budget(&self, b: usize) -> bool {
         let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
@@ -63,17 +58,6 @@ impl Disturbance {
             *counts.entry(v).or_insert(0) += 1;
         }
         counts.values().all(|&c| c <= b)
-    }
-
-    /// Checks both budgets at once, i.e. that this is a valid (k, b)-disturbance.
-    pub fn is_valid_kb(&self, k: usize, b: usize) -> bool {
-        self.respects_k(k) && self.respects_local_budget(b)
-    }
-
-    /// Returns `true` if none of the flipped pairs is an edge of `protected`
-    /// (a disturbance on `G \ Gw` must not flip edges of `Gw`).
-    pub fn avoids(&self, protected: &EdgeSet) -> bool {
-        self.flips.iter().all(|(u, v)| !protected.contains(u, v))
     }
 
     /// Applies the disturbance to a graph, returning the disturbed graph.
@@ -296,20 +280,8 @@ mod tests {
     #[test]
     fn budgets() {
         let d = Disturbance::from_pairs([(0, 1), (0, 2), (0, 3)]);
-        assert!(d.respects_k(3));
-        assert!(!d.respects_k(2));
         assert!(d.respects_local_budget(3));
         assert!(!d.respects_local_budget(2), "node 0 has 3 incident flips");
-        assert!(d.is_valid_kb(5, 3));
-        assert!(!d.is_valid_kb(5, 1));
-    }
-
-    #[test]
-    fn avoids_protected_edges() {
-        let d = Disturbance::from_pairs([(0, 1)]);
-        let protected = EdgeSet::from_iter([(1, 0)]);
-        assert!(!d.avoids(&protected));
-        assert!(d.avoids(&EdgeSet::from_iter([(2, 3)])));
     }
 
     #[test]
@@ -342,7 +314,7 @@ mod tests {
         let g = cycle5();
         let protected = EdgeSet::from_iter([(0, 1), (1, 2)]);
         let d = random_disturbance(&g, &protected, 10, 1, DisturbanceStrategy::Mixed, 3);
-        assert!(d.avoids(&protected));
+        assert!(d.pairs().iter().all(|(u, v)| !protected.contains(u, v)));
         assert!(d.respects_local_budget(1));
     }
 

@@ -29,18 +29,6 @@ pub fn normalized_ged(a: &EdgeSubgraph, b: &EdgeSubgraph) -> f64 {
     ged(a, b) as f64 / denom as f64
 }
 
-/// Jaccard similarity of the edge sets of two witnesses (1.0 for identical,
-/// 0.0 for disjoint). A complementary stability measure used in case studies.
-pub fn edge_jaccard(a: &EdgeSubgraph, b: &EdgeSubgraph) -> f64 {
-    let inter = a.edges().intersection(b.edges()).len();
-    let union = a.edges().union(b.edges()).len();
-    if union == 0 {
-        1.0
-    } else {
-        inter as f64 / union as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,7 +38,6 @@ mod tests {
         let a = EdgeSubgraph::from_edges([(0, 1), (1, 2)]);
         assert_eq!(ged(&a, &a), 0);
         assert_eq!(normalized_ged(&a, &a), 0.0);
-        assert_eq!(edge_jaccard(&a, &a), 1.0);
     }
 
     #[test]
@@ -67,7 +54,6 @@ mod tests {
         let a = EdgeSubgraph::from_edges([(0, 1)]);
         let b = EdgeSubgraph::from_edges([(2, 3)]);
         assert_eq!(ged(&a, &b), 6);
-        assert_eq!(edge_jaccard(&a, &b), 0.0);
         assert!(normalized_ged(&a, &b) <= 2.0);
     }
 
@@ -78,7 +64,6 @@ mod tests {
         assert_eq!(normalized_ged(&e, &e), 0.0);
         assert_eq!(ged(&e, &a), 3);
         assert_eq!(normalized_ged(&e, &a), 1.0);
-        assert_eq!(edge_jaccard(&e, &e), 1.0);
     }
 
     #[test]
@@ -87,6 +72,5 @@ mod tests {
         let b = EdgeSubgraph::from_edges([(1, 2), (3, 4)]);
         assert_eq!(ged(&a, &b), ged(&b, &a));
         assert_eq!(normalized_ged(&a, &b), normalized_ged(&b, &a));
-        assert_eq!(edge_jaccard(&a, &b), edge_jaccard(&b, &a));
     }
 }

@@ -197,11 +197,6 @@ impl Graph {
         self.adjacency[v].len()
     }
 
-    /// Maximum node degree (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(|s| s.len()).max().unwrap_or(0)
-    }
-
     /// Average degree `2|E| / |V|` (0.0 for an empty graph).
     pub fn avg_degree(&self) -> f64 {
         if self.num_nodes() == 0 {
@@ -263,11 +258,6 @@ impl Graph {
         self.labels[v] = Some(label);
     }
 
-    /// Clears the label of node `v`.
-    pub fn clear_label(&mut self, v: NodeId) {
-        self.labels[v] = None;
-    }
-
     /// Number of features per node, taken from node 0 (0 if empty graph).
     pub fn feature_dim(&self) -> usize {
         self.features.first().map(|f| f.len()).unwrap_or(0)
@@ -298,22 +288,6 @@ impl Graph {
             }
         }
         m
-    }
-
-    /// Dense adjacency matrix `A` of shape `|V| x |V|`.
-    pub fn adjacency_matrix(&self) -> Matrix {
-        let n = self.num_nodes();
-        let mut a = Matrix::zeros(n, n);
-        for (u, v) in self.edges() {
-            a.set(u, v, 1.0);
-            a.set(v, u, 1.0);
-        }
-        a
-    }
-
-    /// Degree vector (one entry per node).
-    pub fn degree_vector(&self) -> Vec<f64> {
-        self.adjacency.iter().map(|s| s.len() as f64).collect()
     }
 
     /// Labels of all nodes as a vector.
@@ -412,7 +386,6 @@ mod tests {
     fn degrees_and_size() {
         let g = triangle();
         assert_eq!(g.degree(0), 2);
-        assert_eq!(g.max_degree(), 2);
         assert_eq!(g.avg_degree(), 2.0);
         assert_eq!(g.size(), 6);
     }
@@ -434,8 +407,6 @@ mod tests {
         assert_eq!(g.num_classes(), 2);
         assert_eq!(g.feature_dim(), 2);
         assert_eq!(g.nodes_with_label(1), vec![a]);
-        g.clear_label(b);
-        assert_eq!(g.label(b), None);
     }
 
     #[test]
@@ -446,18 +417,6 @@ mod tests {
         let x = g.feature_matrix();
         assert_eq!(x.shape(), (2, 3));
         assert_eq!(x.row(1), &[4.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn adjacency_matrix_is_symmetric() {
-        let g = triangle();
-        let a = g.adjacency_matrix();
-        for u in 0..3 {
-            for v in 0..3 {
-                assert_eq!(a.get(u, v), a.get(v, u));
-                assert_eq!(a.get(u, v) == 1.0, g.has_edge(u, v));
-            }
-        }
     }
 
     #[test]

@@ -1,19 +1,15 @@
-//! Plain-text import/export of graphs and witnesses.
+//! Plain-text import/export of graphs.
 //!
-//! A small, dependency-free interchange format so that generated witnesses and
-//! synthetic datasets can be inspected, diffed, or loaded into external tools:
+//! A small, dependency-free interchange format so that synthetic datasets can
+//! be inspected, diffed, or loaded into external tools:
 //!
 //! ```text
 //! # graph <num_nodes>
 //! node <id> <label|-> <f1> <f2> ...
 //! edge <u> <v>
 //! ```
-//!
-//! Witnesses use the same `node`/`edge` lines without features.
 
-use crate::edge::EdgeSet;
 use crate::graph::Graph;
-use crate::subgraph::EdgeSubgraph;
 
 /// Error produced when parsing the text format.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -132,68 +128,6 @@ pub fn graph_from_text(text: &str) -> Result<Graph, ParseError> {
     Ok(graph)
 }
 
-/// Serializes a witness subgraph (nodes and edges only).
-pub fn subgraph_to_text(subgraph: &EdgeSubgraph) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# witness {} {}\n",
-        subgraph.num_nodes(),
-        subgraph.num_edges()
-    ));
-    for &v in subgraph.nodes() {
-        out.push_str(&format!("node {v}\n"));
-    }
-    for (u, v) in subgraph.edges().iter() {
-        out.push_str(&format!("edge {u} {v}\n"));
-    }
-    out
-}
-
-/// Parses a witness subgraph from the text format produced by
-/// [`subgraph_to_text`].
-pub fn subgraph_from_text(text: &str) -> Result<EdgeSubgraph, ParseError> {
-    let mut nodes = Vec::new();
-    let mut edges = EdgeSet::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields.as_slice() {
-            ["node", v] => {
-                nodes.push(v.parse().map_err(|_| ParseError {
-                    line: line_no,
-                    message: format!("invalid node id '{v}'"),
-                })?);
-            }
-            ["edge", u, v] => {
-                let u: usize = u.parse().map_err(|_| ParseError {
-                    line: line_no,
-                    message: format!("invalid endpoint '{u}'"),
-                })?;
-                let v: usize = v.parse().map_err(|_| ParseError {
-                    line: line_no,
-                    message: format!("invalid endpoint '{v}'"),
-                })?;
-                edges.insert(u, v);
-            }
-            _ => {
-                return Err(ParseError {
-                    line: line_no,
-                    message: format!("unrecognized line '{line}'"),
-                })
-            }
-        }
-    }
-    let mut out = EdgeSubgraph::from_edges(edges.iter());
-    for v in nodes {
-        out.add_node(v);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,14 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn witness_round_trips() {
-        let w = EdgeSubgraph::from_edges([(0, 1), (2, 3)]);
-        let text = subgraph_to_text(&w);
-        let parsed = subgraph_from_text(&text).unwrap();
-        assert_eq!(parsed, w);
-    }
-
-    #[test]
     fn parse_errors_carry_line_numbers() {
         let err = graph_from_text("node 0 -\nbogus line\n").unwrap_err();
         assert_eq!(err.line, 2);
@@ -246,8 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_input_parses_to_empty_structures() {
+    fn empty_input_parses_to_an_empty_graph() {
         assert_eq!(graph_from_text("").unwrap().num_nodes(), 0);
-        assert!(subgraph_from_text("# witness 0 0\n").unwrap().is_empty());
     }
 }

@@ -29,7 +29,7 @@ pub use bitmap::{Bitmap, VerifiedPairBitmap};
 pub use csr::{Csr, CsrNorms};
 pub use disturbance::{disturbance_footprint, Disturbance, DisturbanceStrategy};
 pub use edge::{norm_edge, Edge, EdgeSet};
-pub use ged::{edge_jaccard, ged, normalized_ged};
+pub use ged::{ged, normalized_ged};
 pub use graph::{Graph, NodeId};
 pub use localize::{BallScratch, BallVariant, ForwardCtx, Locality};
 pub use partition::{edge_cut_partition, Fragment, Partition};

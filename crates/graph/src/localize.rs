@@ -12,7 +12,8 @@
 //! round touches exactly one.
 //!
 //! [`ForwardCtx`] is the compute-graph handle the GNN forward kernels consume:
-//! either a whole view (every row active in every round) or a [`Locality`].
+//! an adjacency with its cached [`CsrNorms`], over either a whole view (every
+//! row active in every round) or a [`Locality`] (or one of its variants).
 //! Exactness argument: by induction over rounds, a node at distance `d` from
 //! `v` has a bit-identical round-`r` value whenever `d <= L - r` — its
 //! neighbors are all inside the ball, its degree is the true view degree, and
@@ -210,7 +211,7 @@ impl BallVariant {
         debug_assert_eq!(self.norms.len(), ball.len(), "variant of another ball");
         ForwardCtx {
             csr: &self.csr,
-            norms: NormSource::Cached(&self.norms),
+            norms: &self.norms,
             schedule: Some(&ball.schedule),
         }
     }
@@ -494,57 +495,34 @@ impl Locality {
     pub fn forward_ctx(&self) -> ForwardCtx<'_> {
         ForwardCtx {
             csr: &self.csr,
-            norms: NormSource::Cached(&self.norms),
+            norms: &self.norms,
             schedule: Some(&self.schedule),
         }
     }
 }
 
-/// Where a [`ForwardCtx`] takes its normalization values from: a cached
-/// [`CsrNorms`] (the fast path) or a bare degree slice, for callers that only
-/// have degrees (normalization vectors are then rebuilt per SpMM call).
-#[derive(Clone, Copy, Debug)]
-enum NormSource<'a> {
-    Cached(&'a CsrNorms),
-    Degrees(&'a [f64]),
-}
-
-/// A compute graph for one GNN forward pass: adjacency, true degrees (with
-/// cached normalization when available), and an optional row schedule
-/// (present only for localized evaluation).
+/// A compute graph for one GNN forward pass: adjacency, the cached
+/// normalization vectors over its true view degrees, and an optional row
+/// schedule (present only for localized evaluation).
 #[derive(Clone, Copy, Debug)]
 pub struct ForwardCtx<'a> {
     csr: &'a Csr,
-    norms: NormSource<'a>,
+    norms: &'a CsrNorms,
     schedule: Option<&'a Schedule>,
 }
 
 impl<'a> ForwardCtx<'a> {
-    /// A full compute graph: every row is active in every round.
-    pub fn full(csr: &'a Csr, degrees: &'a [f64]) -> Self {
-        assert_eq!(
-            csr.num_nodes(),
-            degrees.len(),
-            "ForwardCtx::full: degree vector size mismatch"
-        );
-        ForwardCtx {
-            csr,
-            norms: NormSource::Degrees(degrees),
-            schedule: None,
-        }
-    }
-
-    /// A full compute graph over pre-computed normalization vectors (the
-    /// fast path: SpMM calls skip the per-call normalization rebuild).
+    /// A full compute graph over `csr` and its normalization vectors: every
+    /// row is active in every round.
     pub fn full_with_norms(csr: &'a Csr, norms: &'a CsrNorms) -> Self {
         assert_eq!(
             csr.num_nodes(),
             norms.len(),
-            "ForwardCtx::full: degree vector size mismatch"
+            "ForwardCtx::full_with_norms: degree vector size mismatch"
         );
         ForwardCtx {
             csr,
-            norms: NormSource::Cached(norms),
+            norms,
             schedule: None,
         }
     }
@@ -556,10 +534,7 @@ impl<'a> ForwardCtx<'a> {
 
     /// True per-node degrees under the evaluated view (no self-loops).
     pub fn degrees(&self) -> &'a [f64] {
-        match self.norms {
-            NormSource::Cached(n) => n.degrees(),
-            NormSource::Degrees(d) => d,
-        }
+        self.norms.degrees()
     }
 
     /// Number of nodes (rows) in the compute graph.
@@ -579,23 +554,16 @@ impl<'a> ForwardCtx<'a> {
         self.schedule.is_none_or(|s| s.is_active(row, remaining))
     }
 
-    /// Symmetric-normalization SpMM over this compute graph, routed through
-    /// the cached normalization vectors when present; see
+    /// Symmetric-normalization SpMM over this compute graph; see
     /// [`Csr::spmm_sym_norm_cached`].
     pub fn spmm_sym(&self, x: &[f64], dim: usize, out: &mut [f64], rows: Option<&[usize]>) {
-        match self.norms {
-            NormSource::Cached(n) => self.csr.spmm_sym_norm_cached(n, x, dim, out, rows),
-            NormSource::Degrees(d) => self.csr.spmm_sym_norm_deg(d, x, dim, out, rows),
-        }
+        self.csr.spmm_sym_norm_cached(self.norms, x, dim, out, rows)
     }
 
     /// Row-normalization SpMM over this compute graph; see
     /// [`Csr::spmm_row_norm_cached`].
     pub fn spmm_row(&self, x: &[f64], dim: usize, out: &mut [f64], rows: Option<&[usize]>) {
-        match self.norms {
-            NormSource::Cached(n) => self.csr.spmm_row_norm_cached(n, x, dim, out, rows),
-            NormSource::Degrees(d) => self.csr.spmm_row_norm_deg(d, x, dim, out, rows),
-        }
+        self.csr.spmm_row_norm_cached(self.norms, x, dim, out, rows)
     }
 }
 
@@ -856,11 +824,7 @@ mod tests {
                 // degrees: the flipped view's true degrees
                 let degree = flipped.neighbors(u).len() as f64;
                 assert_eq!(ctx.degrees()[l], degree, "case {i} degree of {u}");
-                let norms = match ctx.norms {
-                    NormSource::Cached(n) => n,
-                    NormSource::Degrees(_) => unreachable!("ball variants cache their norms"),
-                };
-                assert_eq!(norms.inv_deg()[l], 1.0 / (degree + 1.0));
+                assert_eq!(ctx.norms.inv_deg()[l], 1.0 / (degree + 1.0));
             }
             // the changed rows are exactly the in-ball endpoints
             let mut changed = variant.changed().to_vec();
@@ -901,8 +865,8 @@ mod tests {
     fn full_ctx_has_no_schedule() {
         let g = path5();
         let csr = Csr::from_view(&GraphView::full(&g));
-        let degrees: Vec<f64> = (0..5).map(|u| csr.degree(u) as f64).collect();
-        let ctx = ForwardCtx::full(&csr, &degrees);
+        let norms = CsrNorms::from_csr(&csr);
+        let ctx = ForwardCtx::full_with_norms(&csr, &norms);
         assert_eq!(ctx.num_nodes(), 5);
         assert_eq!(ctx.active_rows(0), None);
     }

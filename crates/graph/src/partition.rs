@@ -25,30 +25,9 @@ pub struct Fragment {
 }
 
 impl Fragment {
-    /// Whether this fragment owns `v`.
-    pub fn owns(&self, v: NodeId) -> bool {
-        self.owned.contains(&v)
-    }
-
     /// Whether `v` is visible to this fragment (owned or replicated).
     pub fn covers(&self, v: NodeId) -> bool {
         self.nodes.contains(&v)
-    }
-
-    /// Candidate node pairs local to this fragment: all pairs of visible
-    /// nodes where at least one endpoint is owned. These are the pairs whose
-    /// disturbance the worker is responsible for exploring.
-    pub fn candidate_pairs(&self) -> Vec<Edge> {
-        let nodes: Vec<NodeId> = self.nodes.iter().copied().collect();
-        let mut out = Vec::new();
-        for (i, &u) in nodes.iter().enumerate() {
-            for &v in nodes.iter().skip(i + 1) {
-                if self.owns(u) || self.owns(v) {
-                    out.push((u, v));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -65,23 +44,6 @@ impl Partition {
     /// Number of fragments.
     pub fn num_fragments(&self) -> usize {
         self.fragments.len()
-    }
-
-    /// Number of cut edges (endpoints owned by different fragments).
-    pub fn cut_size(&self, graph: &Graph) -> usize {
-        graph
-            .edges()
-            .filter(|&(u, v)| self.owner[u] != self.owner[v])
-            .count()
-    }
-
-    /// Replication factor: total visible nodes across fragments divided by |V|.
-    pub fn replication_factor(&self, graph: &Graph) -> f64 {
-        if graph.num_nodes() == 0 {
-            return 1.0;
-        }
-        let total: usize = self.fragments.iter().map(|f| f.nodes.len()).sum();
-        total as f64 / graph.num_nodes() as f64
     }
 
     /// Repairs the partition after a disturbance that flipped pairs incident
@@ -298,8 +260,7 @@ mod tests {
                 assert!(p.fragments[pv].covers(u), "{u} replicated into {pv}");
             }
         }
-        assert!(p.replication_factor(&g) >= 1.0);
-        assert!(p.cut_size(&g) > 0);
+        assert!(g.edges().any(|(u, v)| p.owner[u] != p.owner[v]));
     }
 
     #[test]
@@ -307,7 +268,7 @@ mod tests {
         let g = barabasi_albert(30, 2, 5);
         let p = edge_cut_partition(&g, 1, 2);
         assert_eq!(p.fragments[0].owned.len(), 30);
-        assert_eq!(p.cut_size(&g), 0);
+        assert!(g.edges().all(|(u, v)| p.owner[u] == p.owner[v]));
         assert_eq!(p.fragments[0].edges.len(), g.num_edges());
     }
 
@@ -327,18 +288,6 @@ mod tests {
         let p = edge_cut_partition(&g, 3, 1);
         let owned: usize = p.fragments.iter().map(|f| f.owned.len()).sum();
         assert_eq!(owned, 10);
-    }
-
-    #[test]
-    fn candidate_pairs_touch_owned_nodes() {
-        let g = barabasi_albert(20, 2, 8);
-        let p = edge_cut_partition(&g, 2, 1);
-        for f in &p.fragments {
-            for (u, v) in f.candidate_pairs() {
-                assert!(f.owns(u) || f.owns(v));
-                assert!(f.covers(u) && f.covers(v));
-            }
-        }
     }
 
     #[test]

@@ -144,13 +144,6 @@ impl EdgeSubgraph {
         self.edges.extend(&other.edges);
     }
 
-    /// Augments with a set of edges (endpoints are added too).
-    pub fn extend_edges<I: IntoIterator<Item = Edge>>(&mut self, edges: I) {
-        for (u, v) in edges {
-            self.add_edge(u, v);
-        }
-    }
-
     /// Materializes the subgraph as a standalone [`Graph`] that keeps the host
     /// graph's node ids, features, and labels, but only the subgraph's edges.
     /// Nodes outside the subgraph become isolated nodes.
@@ -235,9 +228,6 @@ mod tests {
         let mut c = a.clone();
         c.extend(&b);
         assert_eq!(c, u);
-        let mut d = EdgeSubgraph::new();
-        d.extend_edges([(5, 6), (6, 5)]);
-        assert_eq!(d.num_edges(), 1);
     }
 
     #[test]

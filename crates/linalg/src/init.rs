@@ -26,20 +26,6 @@ pub fn uniform(rows: usize, cols: usize, lo: f64, hi: f64, seed: u64) -> Matrix 
     Matrix::from_vec(rows, cols, data)
 }
 
-/// Standard-normal initialization scaled by `std`.
-pub fn normal(rows: usize, cols: usize, std: f64, seed: u64) -> Matrix {
-    let mut rng = Rng::seed_from_u64(seed);
-    let data = (0..rows * cols)
-        .map(|_| {
-            // Box-Muller transform: avoids depending on rand_distr.
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            std * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-        })
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,13 +56,5 @@ mod tests {
     #[should_panic(expected = "lo must be < hi")]
     fn uniform_rejects_bad_range() {
         uniform(1, 1, 1.0, 0.0, 0);
-    }
-
-    #[test]
-    fn normal_has_reasonable_spread() {
-        let m = normal(50, 50, 1.0, 11);
-        let mean = m.sum() / (m.rows() * m.cols()) as f64;
-        assert!(mean.abs() < 0.1, "mean {mean} too far from 0");
-        assert!(m.is_finite());
     }
 }

@@ -9,8 +9,8 @@
 //! build self-contained and deterministic.
 //!
 //! Modules:
-//! * [`matrix`] — the [`Matrix`] type with arithmetic, reductions, slicing.
-//! * [`vector`] — free functions over `&[f64]` (dot, norms, softmax, argmax).
+//! * [`matrix`] — the [`Matrix`] type with arithmetic, products and reductions.
+//! * [`vector`] — free functions over `&[f64]` (dot, L1 distance, softmax, argmax).
 //! * [`activations`] — elementwise non-linearities and their derivatives.
 //! * [`solve`] — Gaussian elimination, matrix inverse, and linear solves used
 //!   for exact personalized PageRank.
@@ -27,9 +27,6 @@ pub mod vector;
 pub use activations::Activation;
 pub use matrix::{matmul_packed_rows, matmul_pret_rows, Matrix, PackedWeights};
 pub use rng::Rng;
-
-/// Numerical tolerance used across the workspace for float comparisons.
-pub const EPS: f64 = 1e-9;
 
 /// Returns `true` when `a` and `b` are within `tol` of each other.
 #[inline]

@@ -25,15 +25,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows x cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -82,16 +73,6 @@ impl Matrix {
             cols,
             data,
         }
-    }
-
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn diag(values: &[f64]) -> Self {
-        let n = values.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, v) in values.iter().enumerate() {
-            m.set(i, i, *v);
-        }
-        m
     }
 
     /// Number of rows.
@@ -144,16 +125,6 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Adds `v` to the element at `(r, c)`.
-    #[inline]
-    pub fn add_at(&mut self, r: usize, c: usize, v: f64) {
-        debug_assert!(
-            r < self.rows && c < self.cols,
-            "index ({r},{c}) out of bounds"
-        );
-        self.data[r * self.cols + c] += v;
-    }
-
     /// Returns row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -169,15 +140,6 @@ impl Matrix {
     /// Copies column `c` into a new vector.
     pub fn col(&self, c: usize) -> Vec<f64> {
         (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
-    /// Sets an entire row from a slice.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != cols`.
-    pub fn set_row(&mut self, r: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.cols, "set_row: wrong length");
-        self.row_mut(r).copy_from_slice(values);
     }
 
     /// Matrix product `self * other`.
@@ -245,29 +207,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Matrix-vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "matvec: dimension mismatch");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
-    /// Vector-matrix product `v^T * self` (returns a row vector).
-    pub fn vecmat(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, v.len(), "vecmat: dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
-            for (j, &a) in self.row(i).iter().enumerate() {
-                out[j] += vi * a;
-            }
-        }
-        out
-    }
-
     /// Returns the transpose of `self`.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -277,18 +216,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Elementwise sum `self + other`.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "add: shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
     }
 
     /// Elementwise difference `self - other`.
@@ -343,23 +270,6 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Applies a function to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
@@ -368,52 +278,6 @@ impl Matrix {
     /// Per-row sums.
     pub fn row_sums(&self) -> Vec<f64> {
         (0..self.rows).map(|r| self.row(r).iter().sum()).collect()
-    }
-
-    /// Per-column sums.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (j, &v) in self.row(r).iter().enumerate() {
-                out[j] += v;
-            }
-        }
-        out
-    }
-
-    /// Index of the maximum value in row `r` (ties resolved to the smallest index).
-    pub fn row_argmax(&self, r: usize) -> usize {
-        crate::vector::argmax(self.row(r))
-    }
-
-    /// Applies a row-wise softmax, returning a new matrix where each row sums to 1.
-    pub fn softmax_rows(&self) -> Matrix {
-        let mut out = self.clone();
-        for r in 0..self.rows {
-            let row = out.row_mut(r);
-            crate::vector::softmax_inplace(row);
-        }
-        out
-    }
-
-    /// Extracts the sub-matrix made of the given rows (in the given order).
-    pub fn select_rows(&self, rows: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(rows.len(), self.cols);
-        for (i, &r) in rows.iter().enumerate() {
-            out.set_row(i, self.row(r));
-        }
-        out
-    }
-
-    /// Horizontally concatenates `self` with `other`.
-    pub fn hconcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hconcat: row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        out
     }
 
     /// Returns `true` if all elements are finite.
@@ -857,18 +721,13 @@ mod tests {
         assert_eq!(m.shape(), (2, 3));
         m.set(1, 2, 5.0);
         assert_eq!(m.get(1, 2), 5.0);
-        m.add_at(1, 2, 1.5);
-        assert_eq!(m.get(1, 2), 6.5);
     }
 
     #[test]
-    fn identity_and_diag() {
+    fn identity_has_a_unit_diagonal() {
         let i = Matrix::identity(3);
         assert_eq!(i.get(0, 0), 1.0);
         assert_eq!(i.get(0, 1), 0.0);
-        let d = Matrix::diag(&[2.0, 3.0]);
-        assert_eq!(d.get(1, 1), 3.0);
-        assert_eq!(d.get(0, 1), 0.0);
     }
 
     #[test]
@@ -1048,13 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_vecmat() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert!(approx_eq_slice(&a.matvec(&[1.0, 1.0]), &[3.0, 7.0], 1e-12));
-        assert!(approx_eq_slice(&a.vecmat(&[1.0, 1.0]), &[4.0, 6.0], 1e-12));
-    }
-
-    #[test]
     fn transpose_roundtrip() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
@@ -1065,7 +917,6 @@ mod tests {
     fn elementwise_ops() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let b = Matrix::from_rows(&[vec![3.0, 5.0]]);
-        assert_eq!(a.add(&b), Matrix::from_rows(&[vec![4.0, 7.0]]));
         assert_eq!(b.sub(&a), Matrix::from_rows(&[vec![2.0, 3.0]]));
         assert_eq!(a.hadamard(&b), Matrix::from_rows(&[vec![3.0, 10.0]]));
         assert_eq!(a.scale(2.0), Matrix::from_rows(&[vec![2.0, 4.0]]));
@@ -1074,32 +925,8 @@ mod tests {
     #[test]
     fn reductions() {
         let a = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, 4.0]]);
-        assert_eq!(a.sum(), 6.0);
         assert_eq!(a.max_abs(), 4.0);
         assert!(approx_eq_slice(&a.row_sums(), &[-1.0, 7.0], 1e-12));
-        assert!(approx_eq_slice(&a.col_sums(), &[4.0, 2.0], 1e-12));
-        assert!((a.frobenius_norm() - (30.0_f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![0.0, 0.0, 0.0]]);
-        let s = a.softmax_rows();
-        for r in 0..2 {
-            let sum: f64 = s.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-12);
-        }
-        assert_eq!(s.row_argmax(0), 2);
-    }
-
-    #[test]
-    fn select_rows_and_hconcat() {
-        let a = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let sel = a.select_rows(&[2, 0]);
-        assert_eq!(sel, Matrix::from_rows(&[vec![3.0], vec![1.0]]));
-        let b = Matrix::from_rows(&[vec![9.0], vec![8.0], vec![7.0]]);
-        let cat = a.hconcat(&b);
-        assert_eq!(cat.row(1), &[2.0, 8.0]);
     }
 
     #[test]

@@ -12,16 +12,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// L1 norm (sum of absolute values).
-pub fn l1_norm(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
-/// L2 (Euclidean) norm.
-pub fn l2_norm(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// L1 distance between two slices.
 pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "l1_distance: length mismatch");
@@ -97,16 +87,6 @@ pub fn cross_entropy(logits: &[f64], target: usize) -> f64 {
     log_sum_exp(logits) - logits[target]
 }
 
-/// Scales a slice in place so it sums to one (no-op if the sum is zero).
-pub fn normalize_sum_inplace(a: &mut [f64]) {
-    let s: f64 = a.iter().sum();
-    if s.abs() > 0.0 {
-        for v in a {
-            *v /= s;
-        }
-    }
-}
-
 /// Elementwise `a + scale * b`, in place on `a`.
 pub fn axpy(a: &mut [f64], scale: f64, b: &[f64]) {
     assert_eq!(a.len(), b.len(), "axpy: length mismatch");
@@ -124,25 +104,14 @@ pub fn mean(a: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation of a slice (0.0 for fewer than 2 elements).
-pub fn std_dev(a: &[f64]) -> f64 {
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(a);
-    (a.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / a.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
 
     #[test]
-    fn dot_and_norms() {
+    fn dot_and_distance() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(l1_norm(&[-1.0, 2.0]), 3.0);
-        assert!(approx_eq(l2_norm(&[3.0, 4.0]), 5.0, 1e-12));
         assert_eq!(l1_distance(&[1.0, 1.0], &[0.0, 3.0]), 3.0);
     }
 
@@ -187,20 +156,15 @@ mod tests {
     }
 
     #[test]
-    fn normalize_and_axpy() {
-        let mut a = vec![1.0, 3.0];
-        normalize_sum_inplace(&mut a);
-        assert!(approx_eq(a[0], 0.25, 1e-12));
+    fn axpy_adds_a_scaled_slice() {
         let mut b = vec![1.0, 1.0];
         axpy(&mut b, 2.0, &[1.0, 2.0]);
         assert_eq!(b, vec![3.0, 5.0]);
     }
 
     #[test]
-    fn stats() {
+    fn mean_of_empty_is_zero() {
         assert_eq!(mean(&[]), 0.0);
         assert!(approx_eq(mean(&[1.0, 3.0]), 2.0, 1e-12));
-        assert!(approx_eq(std_dev(&[1.0, 3.0]), 1.0, 1e-12));
-        assert_eq!(std_dev(&[5.0]), 0.0);
     }
 }

@@ -55,11 +55,6 @@ pub fn fidelity_minus(
     acc / test_nodes.len() as f64
 }
 
-/// Explanation size `|V| + |E|` as reported in the paper's Table III.
-pub fn explanation_size(explanation: &EdgeSubgraph) -> usize {
-    explanation.size()
-}
-
 /// A bundle of all quality metrics for one explanation, as one row of the
 /// paper's quality tables.
 #[derive(Clone, Debug, Default)]
@@ -76,28 +71,6 @@ pub struct ExplanationEval {
     pub size: usize,
     /// Generation wall-clock time in milliseconds.
     pub generation_ms: f64,
-}
-
-impl ExplanationEval {
-    /// Evaluates fidelity metrics and size for an explanation (GED and time
-    /// are filled in by the caller, which owns the disturbed-graph recompute
-    /// and the stopwatch).
-    pub fn evaluate(
-        method: impl Into<String>,
-        model: &dyn GnnModel,
-        graph: &Graph,
-        explanation: &EdgeSubgraph,
-        test_nodes: &[NodeId],
-    ) -> Self {
-        ExplanationEval {
-            method: method.into(),
-            normalized_ged: 0.0,
-            fidelity_plus: fidelity_plus(model, graph, explanation, test_nodes),
-            fidelity_minus: fidelity_minus(model, graph, explanation, test_nodes),
-            size: explanation_size(explanation),
-            generation_ms: 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,17 +149,6 @@ mod tests {
         let fm = fidelity_minus(&gcn, &g, &e, &[t]);
         assert!((0.0..=1.0).contains(&fp));
         assert!((0.0..=1.0).contains(&fm));
-        assert_eq!(explanation_size(&e), 5);
-    }
-
-    #[test]
-    fn evaluate_bundles_metrics() {
-        let (g, gcn, t) = setup();
-        let e = EdgeSubgraph::from_edges([(t, 0), (t, 1)]);
-        let eval = ExplanationEval::evaluate("RoboGExp", &gcn, &g, &e, &[t]);
-        assert_eq!(eval.method, "RoboGExp");
-        assert_eq!(eval.size, 5);
-        assert!(eval.fidelity_plus >= 0.0);
-        assert!(eval.fidelity_minus >= 0.0);
+        assert_eq!(e.size(), 5);
     }
 }

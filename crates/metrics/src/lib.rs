@@ -3,23 +3,21 @@
 //! Evaluation metrics used by the paper's experimental study (§VII):
 //!
 //! * **Normalized GED** — structural stability of explanations across graph
-//!   disturbances (Eq. 3); re-exported from `rcw-graph` and wrapped into an
-//!   aggregator here.
+//!   disturbances (Eq. 3); re-exported from `rcw-graph`.
 //! * **Fidelity+** — counterfactual effectiveness: how often removing the
 //!   explanation changes the prediction.
 //! * **Fidelity−** — factual accuracy: how often the explanation alone
 //!   reproduces the prediction (lower is better).
-//! * **Explanation size** — `|V| + |E|` of the witness subgraph.
+//! * **Explanation size** — `|V| + |E|` of the witness subgraph
+//!   (`EdgeSubgraph::size`).
 //! * Simple result-table formatting for the experiment harness.
 
-pub mod aggregate;
 pub mod fidelity;
 pub mod table;
 
-pub use aggregate::{summarize_by_method, MethodSummary, Stat};
-pub use fidelity::{explanation_size, fidelity_minus, fidelity_plus, ExplanationEval};
-pub use rcw_graph::{edge_jaccard, ged, normalized_ged};
-pub use table::{format_row, Table};
+pub use fidelity::{fidelity_minus, fidelity_plus, ExplanationEval};
+pub use rcw_graph::{ged, normalized_ged};
+pub use table::Table;
 
 #[cfg(test)]
 mod tests {

@@ -85,14 +85,6 @@ impl Table {
     }
 }
 
-/// Formats a numeric row with a fixed number of decimals — a convenience used
-/// by every experiment binary.
-pub fn format_row(label: &str, values: &[f64], decimals: usize) -> Vec<String> {
-    let mut row = vec![label.to_string()];
-    row.extend(values.iter().map(|v| format!("{v:.decimals$}")));
-    row
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,11 +113,5 @@ mod tests {
     fn row_length_is_validated() {
         let mut t = Table::new("x", &["a", "b"]);
         t.push_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn format_row_rounds() {
-        let row = format_row("RoboGExp", &[0.1234, 2.0], 2);
-        assert_eq!(row, vec!["RoboGExp", "0.12", "2.00"]);
     }
 }

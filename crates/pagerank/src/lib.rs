@@ -1,23 +1,19 @@
 //! # rcw-pagerank
 //!
-//! Personalized PageRank, worst-case classification margins, and the greedy
-//! policy-iteration disturbance search (Procedure PRI) that make k-RCW
-//! verification tractable for APPNP classifiers under (k, b)-disturbances
-//! (§III-B of the paper).
+//! Personalized PageRank and the greedy policy-iteration disturbance search
+//! (Procedure PRI) that make k-RCW verification tractable for APPNP
+//! classifiers under (k, b)-disturbances (§III-B of the paper).
 //!
-//! The crate is deliberately model-aware only at the margin level: PPR and
-//! value-function computations work on any [`rcw_graph::GraphView`], while the
-//! margin helpers take an [`rcw_gnn::Appnp`] to obtain local logits and the
-//! teleport probability.
+//! The crate is model-agnostic: PPR and value-function computations work on
+//! any [`rcw_graph::GraphView`], and the PRI search takes its objective as a
+//! plain per-node reward vector.
 
 pub mod cache;
-pub mod margin;
 pub mod ppr;
 pub mod pri;
 
 pub use cache::PprCache;
-pub use margin::{margin_on_csr, margin_on_view, margin_under_disturbance, min_margin_all_classes};
-pub use ppr::{ppr_matrix_exact, ppr_row, propagation_matrix, value_function, DEFAULT_ITERS};
+pub use ppr::{ppr_matrix_exact, ppr_row, propagation_matrix, value_function};
 pub use pri::{pri_search, truncate_to_k, PriConfig, PriResult};
 
 #[cfg(test)]

@@ -10,10 +10,6 @@
 use rcw_graph::{Csr, GraphView, NodeId};
 use rcw_linalg::{solve, Matrix};
 
-/// Default number of fixed-point iterations; the iteration contracts with
-/// factor `alpha`, so 50 iterations give ~`alpha^50` residual.
-pub const DEFAULT_ITERS: usize = 50;
-
 /// Builds the row-stochastic propagation matrix `P = D^{-1}(A + I)` of a view.
 pub fn propagation_matrix(view: &GraphView<'_>) -> Matrix {
     let n = view.num_nodes();

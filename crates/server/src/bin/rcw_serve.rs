@@ -39,7 +39,7 @@
 use rcw_core::{RcwConfig, VerifiableModel, WitnessEngine};
 use rcw_datasets::{citeseer, Scale};
 use rcw_server::faults::FaultPlan;
-use rcw_server::{RcwServer, ServedEngine, ServerConfig};
+use rcw_server::{serve_config, RcwServer, ServedEngine, ServerConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -191,19 +191,6 @@ fn parse_args() -> Result<Options, String> {
         opts.specs.push(parse_model_spec(text, opts.scale)?);
     }
     Ok(opts)
-}
-
-fn serve_config(k: usize) -> RcwConfig {
-    RcwConfig {
-        k,
-        local_budget: 2,
-        candidate_hops: 2,
-        max_expand_rounds: 3,
-        sampled_disturbances: 6,
-        pri_rounds: 4,
-        ppr_iters: 20,
-        ..RcwConfig::default()
-    }
 }
 
 /// Builds a single-engine route for a trained, leaked model.

@@ -298,7 +298,7 @@ impl Client {
         body_text: &str,
     ) -> Result<(u16, String), ClientError> {
         // Head and body in one write: two small segments would trip Nagle +
-        // delayed-ACK stalls (see `http::write_response`). Built by hand —
+        // delayed-ACK stalls (see `http::encode_response`). Built by hand —
         // one request per warm hit makes the formatting itself hot.
         let mut message =
             String::with_capacity(128 + self.prefix.len() + path.len() + body_text.len());

@@ -103,7 +103,9 @@ pub mod wire;
 use faults::FaultPlan;
 use http::{encode_response, FrameBuf, FrameOutcome, Request, Response};
 pub use rcw_core::{BudgetExceeded, SessionBudget};
-use rcw_core::{DisturbReport, EngineSnapshot, GenerationResult, VerifiableModel, WitnessEngine};
+use rcw_core::{
+    DisturbReport, EngineSnapshot, GenerationResult, RcwConfig, VerifiableModel, WitnessEngine,
+};
 use rcw_graph::Disturbance;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -154,6 +156,24 @@ const INJECTED_STALL: Duration = Duration::from_millis(250);
 /// `updates_shed`) instead of buffered: a slow or wedged consumer must not
 /// grow server memory or stall disturbance fan-out.
 pub const SUBSCRIBE_BUFFER_CAP: usize = 256 * 1024;
+
+/// The session config `rcw_serve` runs every engine with, at disturbance
+/// budget `k`: local budget 2, 2-hop candidate pools, 3 expand rounds, 6
+/// sampled disturbances, 4 PRI rounds and 20 PPR iterations. The answer
+/// fingerprint runs the same config, so the answers it pins are the served
+/// ones.
+pub fn serve_config(k: usize) -> RcwConfig {
+    RcwConfig {
+        k,
+        local_budget: 2,
+        candidate_hops: 2,
+        max_expand_rounds: 3,
+        sampled_disturbances: 6,
+        pri_rounds: 4,
+        ppr_iters: 20,
+        ..RcwConfig::default()
+    }
+}
 
 /// Endpoint names, reserved so an engine route can never shadow them.
 const RESERVED_ROUTE_NAMES: [&str; 6] = [

@@ -2,17 +2,20 @@
 //! excess requests with `429` through the event loop's write path and
 //! rejects expired deadlines with `503`, both round-tripping through the
 //! blocking client as typed protocol errors, with exact request accounting
-//! in the final [`rcw_server::ServeReport`].
+//! in the final [`rcw_server::ServeReport`]. The event loop's own framing
+//! rejections (`408` for a stalled head, `413` for an oversized declared
+//! body, `400` for a transfer encoding) are driven over raw TCP.
 
 use rcw_core::{RcwConfig, WitnessEngine};
 use rcw_datasets::{citeseer, Scale};
 use rcw_server::client::{Client, ClientError};
 use rcw_server::faults::FaultPlan;
+use rcw_server::http::MAX_BODY_BYTES;
 use rcw_server::{RcwServer, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn quick_cfg() -> RcwConfig {
     RcwConfig {
@@ -228,4 +231,88 @@ fn default_deadline_rejects_with_503_and_stores_nothing() {
             .expect("shutdown is exempt from deadlines");
         server_thread.join().expect("server thread")
     });
+}
+
+/// Reads a raw socket until the server closes it.
+fn read_to_close(stream: &mut TcpStream) -> String {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut buf = Vec::new();
+    stream.read_to_end(&mut buf).expect("read until close");
+    String::from_utf8_lossy(&buf).into_owned()
+}
+
+#[test]
+fn framing_rejections_answer_408_413_and_400_and_close() {
+    let ds = citeseer::build(Scale::Tiny, 12);
+    let appnp = ds.train_appnp(8, 12);
+    let engine = WitnessEngine::new(Arc::new(ds.graph.clone()), &appnp, quick_cfg());
+    let server = RcwServer::bind("127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let io_timeout = Duration::from_millis(400);
+    let config = ServerConfig::single(&engine)
+        .with_workers(1)
+        .with_io_timeout(io_timeout);
+
+    let report = std::thread::scope(|scope| {
+        let config_ref = &config;
+        let server_thread = scope.spawn(move || server.serve_config(config_ref).expect("serve"));
+
+        // Half a head, then silence: the peer gets 2 × io_timeout for the
+        // whole request, then a 408 and a close. The upper bound leaves 1 s
+        // for the 25 ms timeout scan and a loaded machine.
+        let mut stalled = TcpStream::connect(&addr).expect("connect stalled");
+        let sent = Instant::now();
+        stalled
+            .write_all(b"POST /generate HTTP/1.1\r\ncontent-le")
+            .expect("write half a head");
+        let text = read_to_close(&mut stalled);
+        let waited = sent.elapsed();
+        assert!(text.starts_with("HTTP/1.1 408 "), "got {text:?}");
+        assert!(text.contains("connection: close\r\n"), "got {text:?}");
+        assert!(text.contains("\"timeout\""), "got {text:?}");
+        assert!(
+            waited >= 2 * io_timeout && waited < 2 * io_timeout + Duration::from_secs(1),
+            "408 after {waited:?}, io_timeout {io_timeout:?}"
+        );
+
+        // A declared body past MAX_BODY_BYTES is refused from the head
+        // alone: no body byte is sent, and the 413 and the close arrive
+        // well inside io_timeout, so the loop never waited for one.
+        let mut oversized = TcpStream::connect(&addr).expect("connect oversized");
+        let sent = Instant::now();
+        let head = format!(
+            "POST /generate HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        oversized.write_all(head.as_bytes()).expect("write head");
+        let text = read_to_close(&mut oversized);
+        assert!(text.starts_with("HTTP/1.1 413 "), "got {text:?}");
+        assert!(text.contains("connection: close\r\n"), "got {text:?}");
+        assert!(text.contains("\"too_large\""), "got {text:?}");
+        assert!(
+            sent.elapsed() < io_timeout,
+            "413 after {:?}",
+            sent.elapsed()
+        );
+
+        // Transfer encodings are out of scope: a clean 400 and a close.
+        let mut chunked = TcpStream::connect(&addr).expect("connect chunked");
+        chunked
+            .write_all(b"POST /generate HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n")
+            .expect("write head");
+        let text = read_to_close(&mut chunked);
+        assert!(text.starts_with("HTTP/1.1 400 "), "got {text:?}");
+        assert!(text.contains("connection: close\r\n"), "got {text:?}");
+        assert!(text.contains("transfer-encoding"), "got {text:?}");
+
+        // The loop answered all three itself and still serves.
+        let mut client = Client::connect(&addr).expect("connect");
+        client.healthz().expect("healthz after the rejections");
+        client.shutdown().expect("shutdown");
+        server_thread.join().expect("server thread")
+    });
+    // Framing rejections never reach the scheduler or the request ledger.
+    assert_eq!(report.requests_total(), 2, "only healthz and shutdown");
 }

@@ -19,7 +19,7 @@
 //! | [`graph`] | `rcw-graph` | attributed graphs, views, disturbances, partitions |
 //! | [`linalg`] | `rcw-linalg` | dense matrices, solvers, activations |
 //! | [`gnn`] | `rcw-gnn` | GCN / APPNP / GraphSAGE / GAT, training |
-//! | [`pagerank`] | `rcw-pagerank` | PPR, worst-case margins, policy iteration |
+//! | [`pagerank`] | `rcw-pagerank` | PPR, policy iteration |
 //! | [`core`] | `rcw-core` | witnesses, verification, RoboGExp, paraRoboGExp |
 //! | [`baselines`] | `rcw-baselines` | CF², CF-GNNExplainer re-implementations |
 //! | [`metrics`] | `rcw-metrics` | GED, Fidelity±, result tables |
